@@ -15,9 +15,14 @@ travel alongside the box (the wire envelope of
 encrypted.  The tag binds ``len(ad) || ad || ciphertext``, so grafting
 one box onto another message's associated data fails authentication.
 
-One scalar multiplication per seal on the sender side (plus one to
-make the ephemeral key) — the "single public-key encryption" per
-client submission that Figure 7's analysis counts.
+A seal costs two scalar multiplications, the ephemeral key ``r*G``
+and the shared secret ``r*pk``, together the "single public-key
+encryption" per client submission that Figure 7's analysis counts.
+Both bases repeat from seal to seal, so both go through
+:func:`~repro.ec.p256.fixed_base_mult`; the recipient key is validated
+once, when its table is built.  An open costs one variable-base
+:func:`~repro.ec.p256.scalar_mult`, because its base is the
+sender-chosen ephemeral point.
 """
 
 from __future__ import annotations
@@ -34,7 +39,14 @@ from repro.crypto.primitives import (
     mac_verify,
     stream_xor,
 )
-from repro.ec.p256 import GENERATOR, Point, random_scalar, scalar_mult
+from repro.ec.p256 import (
+    GENERATOR,
+    EcError,
+    Point,
+    fixed_base_mult,
+    random_scalar,
+    scalar_mult,
+)
 
 
 @dataclass(frozen=True)
@@ -87,12 +99,17 @@ def seal(
 
     ``associated_data`` is authenticated but not encrypted (and not
     included in the output): the opener must present the same bytes.
+    Raises :class:`CryptoError` if ``recipient_public`` is the identity
+    or off the curve: a shared secret with the identity is public.
     """
     if rng is None:
         rng = _random.SystemRandom()
     ephemeral_secret = random_scalar(rng)
-    ephemeral_pub = scalar_mult(ephemeral_secret, GENERATOR)
-    shared = scalar_mult(ephemeral_secret, recipient_public)
+    try:
+        shared = fixed_base_mult(ephemeral_secret, recipient_public)
+    except EcError as exc:
+        raise CryptoError("unsafe recipient public key") from exc
+    ephemeral_pub = fixed_base_mult(ephemeral_secret, GENERATOR)
     enc_key, mac_key = _derive_keys(shared, ephemeral_pub)
     nonce = ephemeral_pub.encode()[:16]
     ciphertext = stream_xor(enc_key, nonce, plaintext)

@@ -57,7 +57,8 @@ def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
 def stream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """Encrypt/decrypt by XOR with the keystream (an involution)."""
     stream = keystream(key, nonce, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
+    mixed = int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
+    return mixed.to_bytes(len(data), "little")
 
 
 def mac_tag(key: bytes, data: bytes) -> bytes:

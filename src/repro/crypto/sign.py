@@ -14,11 +14,18 @@ s = k + e*x (mod order);  verify  sG == R + e*Pub.
 from __future__ import annotations
 
 import hashlib
-import os
+import random as _random
 from dataclasses import dataclass
 
 from repro.crypto.primitives import CryptoError
-from repro.ec.p256 import GENERATOR, ORDER, Point, random_scalar, scalar_mult
+from repro.ec.p256 import (
+    GENERATOR,
+    ORDER,
+    Point,
+    fixed_base_mult,
+    random_scalar,
+    scalar_mult,
+)
 
 
 @dataclass(frozen=True)
@@ -29,9 +36,7 @@ class SigningKeyPair:
     @classmethod
     def generate(cls, rng=None) -> "SigningKeyPair":
         if rng is None:
-            import random as _random
-
-            rng = _random.Random(os.urandom(16))
+            rng = _random.SystemRandom()
         secret = random_scalar(rng)
         return cls(secret=secret, public=scalar_mult(secret, GENERATOR))
 
@@ -46,11 +51,9 @@ def _challenge(nonce_point: Point, public: Point, message: bytes) -> int:
 def sign(keypair: SigningKeyPair, message: bytes, rng=None) -> bytes:
     """Produce a 65-byte signature (33-byte R point + 32-byte scalar)."""
     if rng is None:
-        import random as _random
-
-        rng = _random.Random(os.urandom(16))
+        rng = _random.SystemRandom()
     k = random_scalar(rng)
-    nonce_point = scalar_mult(k, GENERATOR)
+    nonce_point = fixed_base_mult(k, GENERATOR)
     e = _challenge(nonce_point, keypair.public, message)
     s = (k + e * keypair.secret) % ORDER
     return nonce_point.encode() + s.to_bytes(32, "big")
@@ -68,7 +71,7 @@ def verify(public: Point, message: bytes, signature: bytes) -> bool:
     if s >= ORDER:
         return False
     e = _challenge(nonce_point, public, message)
-    lhs = scalar_mult(s, GENERATOR)
+    lhs = fixed_base_mult(s, GENERATOR)
     rhs = nonce_point + scalar_mult(e, public)
     return lhs == rhs
 

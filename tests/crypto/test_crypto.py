@@ -21,6 +21,7 @@ from repro.crypto import (
     verify,
     verify_or_raise,
 )
+from repro.ec import GENERATOR, INFINITY, Point
 
 
 @pytest.fixture
@@ -62,6 +63,15 @@ def test_stream_xor_roundtrip():
     ct = stream_xor(key, b"nonce-1", data)
     assert ct != data
     assert stream_xor(key, b"nonce-1", ct) == data
+
+
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 4000])
+def test_stream_xor_matches_per_byte_reference(length):
+    key = bytes(range(32))
+    data = random.Random(length).randbytes(length)
+    stream = keystream(key, b"nonce-1", length)
+    expected = bytes(a ^ b for a, b in zip(data, stream))
+    assert stream_xor(key, b"nonce-1", data) == expected
 
 
 def test_stream_nonce_separation():
@@ -192,6 +202,19 @@ def test_box_default_rng_never_uses_mersenne_twister(monkeypatch):
     assert open_box(keypair, sealed) == b"csprng only"
 
 
+@pytest.mark.parametrize(
+    "recipient",
+    [INFINITY, Point(GENERATOR.x, GENERATOR.y + 1)],
+    ids=["identity", "off-curve"],
+)
+def test_box_rejects_unsafe_recipient_key(rng, recipient):
+    # Regression: sealing to the identity made the shared secret the
+    # identity, so the keys came from public bytes and anyone could
+    # open the box; an off-curve key was accepted silently.
+    with pytest.raises(CryptoError):
+        seal(recipient, b"secret", rng)
+
+
 # ----------------------------------------------------------------------
 # Signatures
 # ----------------------------------------------------------------------
@@ -239,3 +262,18 @@ def test_signature_deterministic_keygen(rng):
     b = SigningKeyPair.generate(random.Random(1))
     assert a.secret == b.secret
     assert a.public == b.public
+
+
+def test_sign_default_rng_never_uses_mersenne_twister(monkeypatch):
+    # Signing keys and Schnorr nonces must come from the OS CSPRNG
+    # (random.SystemRandom) by default, never a seeded random.Random.
+    class _Detonator:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError(
+                "default signing rng constructed random.Random"
+            )
+
+    monkeypatch.setattr(random, "Random", _Detonator)
+    keypair = SigningKeyPair.generate()
+    signature = sign(keypair, b"csprng only")
+    assert verify(keypair.public, b"csprng only", signature)
