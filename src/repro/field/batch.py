@@ -34,10 +34,35 @@ Backend selection happens at call time via :func:`use_numpy`; every
 public entry point also takes ``force_pure`` for explicit control.
 
 The high-level entry point is :class:`BatchVector` (elementwise
-add/sub/mul/scale, dot products, NTT butterflies over whole vectors);
+add/sub/mul/scale, dot products, NTTs over whole batches of rows);
 the SNIP/protocol layers use the row-oriented helpers
 (:func:`dot_rows`, :func:`dot_rows_multi`, :func:`ntt_rows`, ...)
 that take and return plain ``list[int]`` rows.
+
+Matrix-radix NTT
+----------------
+
+The client's proof work (interpolating f and g, evaluating h) is
+NTTs.  On the numpy backend :func:`_np_ntt` runs them as a four-step
+transform: split ``n = r*m`` with ``r <= 32``, run the size-``r`` DFTs
+as float64 matmuls against a cached ``r x r`` DFT matrix in limb form,
+multiply by the twiddles, transpose, and repeat on ``m``.  The last
+pass folds the previous pass's twiddles into its DFT matrices, so a
+size-1024 transform is two passes of matmuls and no separate twiddle
+multiply, with no bit reversal.
+
+* **Exactness.**  Every limb product is below ``2^48`` and
+  ``32 * (2^24 - 1)^2 < 2^53``, so each partial sum of a matmul is an
+  integer that float64 holds exactly, whatever order BLAS adds in.
+* **Derived radix.**  Passes hand each other lazy Barrett residues
+  below ``3p`` when ``3p < 2^(24L)`` (``C = 3``; otherwise ``C = 1``
+  and every pass is canonical).  The radix is the largest power of two
+  ``r <= 32`` with ``r*C*p^2 < 2^(48L)``, so a pass's DFT output stays
+  in Barrett's domain.  Every shipped modulus runs radix 32; a
+  headroom-starved 24-bit prime runs radix 2 on the same code path.
+* **Tiling.**  Rows run in tiles of about 8K elements, which keeps
+  the pass temporaries in cache and every BLAS call below OpenBLAS's
+  threading threshold: the transform uses one core.
 
 Plane-resident ingest
 ---------------------
@@ -145,7 +170,7 @@ class _LimbContext:
 
     __slots__ = (
         "field", "modulus", "n_limbs", "p_planes", "p_ext_planes",
-        "mu_planes", "max_dot_terms", "_twiddle_cache",
+        "mu_planes", "max_dot_terms", "ntt_lazy", "ntt_radix", "ntt_plans",
     )
 
     def __init__(self, field: PrimeField) -> None:
@@ -166,20 +191,20 @@ class _LimbContext:
         self.max_dot_terms = max(1, min(
             lane_limit // L, 1 << max(0, 2 * L * LIMB_BITS - 2 * bits)
         ))
-        self._twiddle_cache: dict = {}
-
-    def twiddle_planes(self, root: int, length: int):
-        """Limb planes of ``[root^0 .. root^{length-1}]`` (cached)."""
-        key = (root, length)
-        cached = self._twiddle_cache.get(key)
-        if cached is None:
-            p = self.modulus
-            tws = [1] * length
-            for i in range(1, length):
-                tws[i] = tws[i - 1] * root % p
-            cached = _encode(self, tws).reshape(self.n_limbs, length)
-            self._twiddle_cache[key] = cached
-        return cached
+        # NTT passes (see _np_ntt) may be lazy when a Barrett main-step
+        # residue (< 3p) fits L limbs.  A pass's DFT output is below
+        # r*C*p^2 for inputs below C*p, which must stay inside Barrett's
+        # base^(2L) domain; r <= 32 keeps the float64 matmuls exact.
+        # Radix 2 is always safe: column 0 of every DFT matrix (folded
+        # twiddles included) is all ones, so a radix-2 row sums to at
+        # most p and a canonical pass stays below p^2.
+        self.ntt_lazy = 3 * p < 1 << (L * LIMB_BITS)
+        c = 3 if self.ntt_lazy else 1
+        self.ntt_radix = 2
+        while (self.ntt_radix < 32
+               and 2 * self.ntt_radix * c * p * p < 1 << (2 * L * LIMB_BITS)):
+            self.ntt_radix *= 2
+        self.ntt_plans: dict = {}
 
 
 _CTX_CACHE: dict[int, _LimbContext] = {}
@@ -506,86 +531,140 @@ def _np_matvec(ctx, w_planes, m_planes):
     return total
 
 
-def _np_ntt(ctx, planes, root: int):
-    """Radix-2 NTT over the last axis of (L, B, n) planes.
+#: elements (rows x transform size) per NTT tile: the pass temporaries
+#: of one tile stay in cache, and every DFT matmul of a tile stays
+#: below OpenBLAS's single-thread size (m*n*k <= 2^18 at radix 32)
+_NTT_TILE_ELEMENTS = 8192
 
-    Butterflies are *lazy* when the limb headroom allows (all shipped
-    moduli): stage values live in ``[0, C*p)`` with ``C`` growing by at
-    most 3 per stage — the twiddle product keeps Barrett's main-step
-    residue (< 3p), sums skip the conditional subtraction, and
-    differences add a flat ``3p`` instead of comparing — so each stage
-    is pure convolution/carry passes with no limb comparisons at all.
-    One full Barrett pass at the end canonicalizes, making the output
-    bit-identical to the exact per-stage path (which remains as the
-    fallback for headroom-starved moduli).
+
+def _ntt_plan(ctx: _LimbContext, n: int, root: int) -> list:
+    """Cached per-pass matrices of a size-``n`` NTT with ``root``.
+
+    One ``(dft, twiddles)`` entry per pass.  ``dft`` holds float64 limb
+    planes of the pass's DFT matrix ``w_r^(j*k)``: ``(L, r, r)``, or
+    ``(L, r_prev, r, r)`` on the last pass, whose ``r_prev`` matrices
+    fold in the previous pass's twiddles.  ``twiddles`` holds the
+    canonical limb planes ``(L, r, m, 1)`` of ``w^(k1*j2)``; it is None
+    on the last two passes.
     """
-    n = planes.shape[-1]
-    if n == 1:
-        return planes
-    perm = _bit_reverse_permutation(n)
-    out = planes[..., perm].copy()
+    key = (root, n)
+    cached = ctx.ntt_plans.get(key)
+    if cached is not None:
+        return cached
     p = ctx.modulus
     L = ctx.n_limbs
-    n_stages = n.bit_length() - 1
-    # Lazy growth bound: inputs are canonical (C = 1); every stage adds
-    # at most 3p, and the sub path needs t <= 3p, so values stay below
-    # (4 + 3 * n_stages) * p — which must fit L normalized limbs.
-    lazy = (4 + 3 * n_stages) * p <= (1 << (LIMB_BITS * L))
-    if lazy:
-        three_p = _np.array(_int_limbs(3 * p, L), dtype=_np.int64)
-    length = 2
-    while length <= n:
-        half = length >> 1
-        w_len = pow(root, n // length, p)
-        tw = ctx.twiddle_planes(w_len, half)         # (L, half)
-        shaped = out.reshape(out.shape[:-1] + (n // length, length))
-        lo = shaped[..., :half]
-        hi = shaped[..., half:]
-        if half == 1:
-            # Stage 1's only twiddle is w^0 = 1: t = hi, skip the
-            # multiply (a full conv + Barrett over the half array).
-            t = hi
-        else:
-            x = _carry(_conv(hi, tw.reshape(
-                (L,) + (1,) * (shaped.ndim - 2) + (half,))), 2 * L)
-            t = _barrett(ctx, x, canonical=not lazy)
-        if lazy:
-            # s = lo + t and d = lo - t + 3p, carried but never
-            # compared against p; exact mod p throughout.
-            s = lo + t
-            d = (
-                lo - t
-                + three_p.reshape((L,) + (1,) * (shaped.ndim - 1))
+
+    def limbs(values, shape, dtype):
+        return _encode(ctx, values).reshape((L,) + shape).astype(dtype)
+
+    levels = []                      # (r, [w^e for e < r*m]) per pass
+    size, w = n, root
+    while size > 1:
+        r = min(size, ctx.ntt_radix)
+        powers = [1] * size
+        for e in range(1, size):
+            powers[e] = powers[e - 1] * w % p
+        levels.append((r, powers))
+        size //= r
+        w = pow(w, r, p)
+    plan = []
+    for i, (r, powers) in enumerate(levels[:-1]):
+        m = len(powers) // r
+        dft = [powers[m * (j * k % r)] for k in range(r) for j in range(r)]
+        twiddles = None
+        if i < len(levels) - 2:
+            twiddles = limbs(
+                [powers[k1 * j2] for k1 in range(r) for j2 in range(m)],
+                (r, m, 1), _np.int64,
             )
-            new_lo = _np.empty_like(s)
-            new_hi = _np.empty_like(d)
-            carry_s = _np.zeros(s.shape[1:], dtype=_np.int64)
-            carry_d = _np.zeros(d.shape[1:], dtype=_np.int64)
-            for i in range(L):
-                vs = s[i] + carry_s
-                vd = d[i] + carry_d
-                carry_s = vs >> LIMB_BITS
-                carry_d = vd >> LIMB_BITS
-                new_lo[i] = vs & LIMB_MASK
-                new_hi[i] = vd & LIMB_MASK
-        else:
-            new_lo = _np_add(ctx, lo, t)
-            new_hi = _np_sub(ctx, lo, t)
-        shaped[..., :half] = new_lo
-        shaped[..., half:] = new_hi
-        length <<= 1
-    if lazy:
-        # One canonicalizing Barrett for the whole transform.
-        out = _barrett(ctx, _carry(out, 2 * L))
+        plan.append((limbs(dft, (r, r), _np.float64), twiddles))
+    # The last pass's size-r DFT over j, run once per row k1 of the
+    # previous split, absorbs that split's twiddle w^(k1*j).  A
+    # single-pass transform has no previous split: r_prev = 1.
+    r, powers = levels[-1]
+    r_prev = 1
+    if len(levels) > 1:
+        r_prev, powers = levels[-2]
+    folded = [
+        powers[(k1 * j + r_prev * j * k) % len(powers)]
+        for k1 in range(r_prev) for k in range(r) for j in range(r)
+    ]
+    plan.append((limbs(folded, (r_prev, r, r), _np.float64), None))
+    ctx.ntt_plans[key] = plan
+    return plan
+
+
+def _dft_conv(dft, x):
+    """Lazy limb convolution of DFT matrices with columns of planes.
+
+    ``dft``: float64 ``(L, ..., r, r)``; ``x``: normalized
+    ``(L, ..., r, c)``.  Returns int64 ``(2L-1, ..., r, c)`` with
+    ``out[a+b] += dft[a] @ x[b]``.  Each matmul entry is a sum of
+    ``r <= 32`` limb products below ``2^48``, so every partial sum is
+    an integer below ``2^53``: float64 holds it exactly in whatever
+    order BLAS adds.  Columns go in chunks of ``r*c`` at most
+    :data:`_NTT_TILE_ELEMENTS`, so a transform longer than a tile
+    still makes only single-threaded BLAS calls.
+    """
+    L = x.shape[0]
+    xf = x.astype(_np.float64)
+    out = _np.zeros((2 * L - 1,) + x.shape[1:], dtype=_np.int64)
+    step = _NTT_TILE_ELEMENTS // x.shape[-2]
+    for c in range(0, x.shape[-1], step):
+        for a in range(L):
+            out[a:a + L, ..., c:c + step] += _np.matmul(
+                dft[a], xf[..., c:c + step]).astype(_np.int64)
     return out
 
 
-def _bit_reverse_permutation(n: int) -> list[int]:
-    bits = n.bit_length() - 1
-    perm = [0] * n
-    for i in range(n):
-        perm[i] = int(format(i, f"0{bits}b")[::-1], 2) if bits else 0
-    return perm
+def _np_ntt(ctx, planes, root: int):
+    """NTT over the last axis of (L, B, n) planes, as matrix-radix passes.
+
+    A four-step split ``n = r*m`` (``r <= 32``): index the input as
+    ``j = m*j1 + j2`` and the output as ``k = k1 + r*k2``.  A pass runs
+    the size-``r`` DFTs over ``j1`` as matmuls against a cached ``r x
+    r`` DFT matrix (:func:`_dft_conv`), multiplies by the twiddles
+    ``w^(k1*j2)``, and transposes so that the size-``m`` DFTs run over
+    the leading transform axis in the next pass.  Inside the kernel the
+    rows sit on the *last* axis, ``(L, n, rows)``, so each pass is one
+    flat matmul per limb pair, and the final layout is natural order:
+    no bit reversal.  The last pass runs one DFT matrix per row of the
+    previous split with that split's twiddles folded in, so only the
+    passes before the last two multiply by twiddles.
+
+    The radix comes from the modulus's headroom (``ctx.ntt_radix``).
+    With ``ctx.ntt_lazy`` the passes hand each other Barrett main-step
+    residues below ``3p`` and only the last pass canonicalizes;
+    otherwise every pass is canonical.  Rows run in tiles of about
+    :data:`_NTT_TILE_ELEMENTS` elements.
+    """
+    n = planes.shape[-1]
+    if n <= 1:
+        return planes
+    L = ctx.n_limbs
+    plan = _ntt_plan(ctx, n, root)
+    lazy = ctx.ntt_lazy
+    tile = max(1, _NTT_TILE_ELEMENTS // n)
+    out = _np.empty_like(planes)
+    for t0 in range(0, planes.shape[1], tile):
+        x = _np.ascontiguousarray(
+            planes[:, t0:t0 + tile, :].transpose(0, 2, 1))
+        rows = cols = x.shape[-1]
+        for dft, twiddles in plan[:-1]:
+            r = dft.shape[-1]
+            x = _barrett(ctx, _carry(_dft_conv(dft, x.reshape(L, r, -1)),
+                                     2 * L), canonical=not lazy)
+            if twiddles is not None:
+                y = _carry(_conv(x.reshape(L, r, -1, cols), twiddles), 2 * L)
+                y = _barrett(ctx, y, canonical=not lazy)
+                x = _np.ascontiguousarray(y.transpose(0, 2, 1, 3))
+                cols *= r
+        dft = plan[-1][0]
+        x = x.reshape((L,) + dft.shape[1:-1] + (-1,))
+        x = _barrett(ctx, _carry(_dft_conv(dft, x), 2 * L))
+        out[:, t0:t0 + rows, :] = (
+            x.transpose(0, 2, 1, 3).reshape(L, n, rows).transpose(0, 2, 1))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,6 @@ from typing import Sequence
 
 from repro.circuit.circuit import Circuit
 from repro.field.batch import BatchVector, concat_columns, stack_rows
-from repro.field.ntt import EvaluationDomain
 from repro.field.prime_field import PrimeField
 from repro.mpc.beaver import BeaverTriple, generate_triple
 from repro.snip.proof import SnipError, snip_domain_sizes
@@ -157,8 +156,7 @@ def h_planes_batch(
             for r, trace in zip(randoms, traces)
         ]
         fg = BatchVector.from_ints(field, rows, force_pure)
-    domain_n = EvaluationDomain(field, size_n)
-    domain_2n = EvaluationDomain(field, size_2n)
+    root_n = field.root_of_unity(size_n)
     # The double domain's even points coincide with the small domain
     # (w_2N^2 = w_N), so h's even evaluations are free products of the
     # *input* rows: h[2i] = f_evals[i] * g_evals[i].  Only the odd
@@ -167,13 +165,13 @@ def h_planes_batch(
     # not 2N (the inverse transform's 1/N scale folds into the twist).
     p = field.modulus
     even = fg.take_rows(range(B)) * fg.take_rows(range(B, 2 * B))
-    coeffs_scaled = fg.ntt(pow(domain_n.root, -1, p))  # N * coefficients
-    w2 = domain_2n.root
+    coeffs_scaled = fg.ntt(pow(root_n, -1, p))  # N * coefficients
+    w2 = field.root_of_unity(size_2n)
     n_inv = pow(size_n, -1, p)
     twist = [n_inv] * size_n
     for k in range(1, size_n):
         twist[k] = twist[k - 1] * w2 % p
-    odd_evals = coeffs_scaled.mul_row(twist).ntt(domain_n.root)
+    odd_evals = coeffs_scaled.mul_row(twist).ntt(root_n)
     odd = odd_evals.take_rows(range(B)) * odd_evals.take_rows(
         range(B, 2 * B)
     )
