@@ -35,6 +35,9 @@ points — so accept/reject decisions are bit-identical by construction:
     server ``i`` lives — while distinct servers verify genuinely in
     parallel, GIL-free.
 
+The synchronous deliveries use a fourth, :class:`DirectFanout`, which
+calls the ops with no event loop at all.
+
 What crosses the process boundary
 ---------------------------------
 
@@ -130,69 +133,47 @@ class _BatchState:
         self.party = None
 
 
-class _ServerOps:
-    """Batch-id-keyed pipeline ops over one :class:`PrioServer`.
+#: payload kinds the one receive op accepts, and the ``PrioServer``
+#: batch entry point each one runs: ``ClientPacket`` objects, encoded
+#: packet bytes as framed off a socket, or ``envelope || box`` sealed
+#: packets
+PAYLOAD_KINDS = {
+    "packet": "receive_batch",
+    "wire": "receive_wire_batch",
+    "sealed": "receive_sealed_batch",
+}
 
-    Every backend — inline, thread, process — executes exactly this
-    class, so the pipeline's semantics cannot drift between them.  In
+
+class _ServerOps:
+    """Batch-id-keyed ops over one :class:`PrioServer`.
+
+    Every backend — inline, thread, process, sharded — executes exactly
+    this class, so a batch's semantics cannot drift between them.  In
     process mode an instance lives in the worker that owns the server;
     locally one instance per server lives in the driver process.
 
-    The pipeline ops (`receive`/`ingest`/`round1`/`round2`/
-    `accumulate`) key state by an opaque ``batch_id``; the simulated
-    cluster uses the submission-id-keyed group ops below them.
+    The ops are the per-server steps of one batch — ``receive``,
+    ``ingest``, ``round1``, ``round2``, ``accumulate`` — plus the
+    ``abandon``/``abandon_open`` sweeps that release undecided ids.
+    :class:`~repro.protocol.lifecycle.BatchLifecycle` sequences them
+    for the pipeline, the transport and the synchronous deliveries; the
+    simulated cluster drives them per node, keyed by group id.
     """
 
     def __init__(self, server: PrioServer) -> None:
         self.server = server
         self._batches: dict[int, _BatchState] = {}
-        #: undecided cluster pendings, keyed by submission id
-        self._by_sid: dict[bytes, PendingSubmission] = {}
-        #: cluster verification groups, keyed by group id
-        self._groups: dict[int, "tuple[list[PendingSubmission], object]"] = {}
 
-    # -- pipeline ops ---------------------------------------------------
+    def receive(self, batch_id: int, payloads, kind: str):
+        """Frame-validate one server's payloads; pendings stay resident.
 
-    def receive(self, batch_id: int, payloads, encrypt: bool):
-        """Frame-validate one server's packets; pendings stay resident.
-
+        ``kind`` names the payload form (:data:`PAYLOAD_KINDS`).
         Returns one ``None`` (success) or the raised exception per
         position — the cross-boundary form; the heavy
         :class:`PendingSubmission` objects (latent seeds, decoded
         planes) never leave this process.
         """
-        server = self.server
-        if encrypt:
-            received = server.receive_sealed_batch(payloads)
-        else:
-            received = server.receive_batch(payloads)
-        state = self._batches[batch_id] = _BatchState()
-        state.received = received
-        return [r if isinstance(r, Exception) else None for r in received]
-
-    def receive_sealed(self, batch_id: int, payloads):
-        """Frame-validate sealed packets (the encrypted transport seam).
-
-        ``payloads`` holds one ``envelope || box`` sealed packet per
-        position.  Boxes open worker-side (the shard owns its server's
-        box key), plaintexts join the fused batch decode.  Same
-        cross-boundary verdict form as :meth:`receive`.
-        """
-        received = self.server.receive_sealed_batch(payloads)
-        state = self._batches[batch_id] = _BatchState()
-        state.received = received
-        return [r if isinstance(r, Exception) else None for r in received]
-
-    def receive_wire(self, batch_id: int, payloads):
-        """Frame-validate raw wire-packet bytes (the transport seam).
-
-        ``payloads`` holds one length-framed packet per position,
-        exactly as read off a socket — bytes cross the worker boundary
-        (cheap to pickle), headers parse worker-side, and bodies join
-        the server's fused batch decode.  Same cross-boundary verdict
-        form as :meth:`receive`.
-        """
-        received = self.server.receive_wire_batch(payloads)
+        received = getattr(self.server, PAYLOAD_KINDS[kind])(payloads)
         state = self._batches[batch_id] = _BatchState()
         state.received = received
         return [r if isinstance(r, Exception) else None for r in received]
@@ -202,9 +183,8 @@ class _ServerOps:
 
         ``keep`` holds the positions (into this batch's payloads) that
         every server received successfully.  Positions this server
-        received but a peer did not are abandoned — the mirror of the
-        synchronous fan-out rule: no decision was made, so an honest
-        retry must not be mistaken for a replay.
+        received but a peer did not are abandoned: no decision was
+        made, so an honest retry must not be mistaken for a replay.
         """
         state = self._batches[batch_id]
         keep_set = set(keep)
@@ -242,68 +222,31 @@ class _ServerOps:
         self.server.accumulate_batch(state.pendings, decisions)
         del self._batches[batch_id]
 
-    def _settle_undecided(self, batch_id: int, settle) -> None:
-        """Apply ``settle`` to every undecided pending of a batch."""
+    def abandon(self, batch_id: int) -> None:
+        """Release every received-but-undecided pending of a batch.
+
+        Ids must not stay pending (honest retries would look like
+        replays) and must not enter the replay cache (no decision was
+        made).  Unknown batch ids are a no-op."""
         state = self._batches.pop(batch_id, None)
         if state is None:
             return
         for pending in state.pendings or ():
-            settle(pending)
+            self.server.abandon(pending)
         for received in state.received or ():
             if isinstance(received, PendingSubmission):
-                settle(received)
-
-    def reject_all(self, batch_id: int) -> None:
-        """Defensive sweep: reject every undecided pending of a batch.
-
-        Used when a verification round failed mid-batch (the mirror of
-        the synchronous path's whole-batch rejection) — shapes were
-        validated at receive time, so rather than mis-credit anything,
-        every received submission is rejected individually.
-        """
-        self._settle_undecided(batch_id, self.server.reject)
-
-    def abandon_all(self, batch_id: int) -> None:
-        """Release every received-but-undecided pending of a batch.
-
-        Used when receive/ingest failed partway across the server
-        fan-out: ids must not stay pending (honest retries would look
-        like replays) and must not enter the seen set (no decision)."""
-        self._settle_undecided(batch_id, self.server.abandon)
+                self.server.abandon(received)
 
     def abandon_open(self) -> None:
         """Release every batch still open at this server.
 
-        The pipeline's abnormal-exit sweep (cancellation, fatal error):
-        in-flight batches were received but will never be decided, so
-        their ids must leave the pending set — an honest retry of the
-        same submissions after the interrupted run must succeed — and
-        their plane share matrices must not outlive the run on a
-        reused backend."""
+        The abnormal-exit sweep (cancellation, fatal error, transport
+        drain): in-flight batches were received but will never be
+        decided, so their ids must leave the pending set and their
+        plane share matrices must not outlive the run on a reused
+        backend."""
         for batch_id in list(self._batches):
-            self.abandon_all(batch_id)
-
-    # -- cluster (group) ops -------------------------------------------
-
-    def receive_one(self, packet):
-        """Scalar receive for the simulated cluster; returns the id."""
-        pending = self.server.receive(packet)
-        self._by_sid[pending.submission_id] = pending
-        return pending.submission_id
-
-    def begin_group(self, gid: int, sids):
-        pendings = [self._by_sid.pop(sid) for sid in sids]
-        party, round1 = self.server.begin_verification_batch(pendings)
-        self._groups[gid] = (pendings, party)
-        return round1
-
-    def finish_group(self, gid: int, round1_batches):
-        _, party = self._groups[gid]
-        return self.server.finish_verification_batch(party, round1_batches)
-
-    def settle_group(self, gid: int, decisions) -> None:
-        pendings, _ = self._groups.pop(gid)
-        self.server.accumulate_batch(pendings, decisions)
+            self.abandon(batch_id)
 
     # -- state sync (process backend) ----------------------------------
 
@@ -325,11 +268,11 @@ def _consume_exception(future) -> None:
 class ServerFanout:
     """Executes :class:`_ServerOps` calls for a set of servers.
 
-    ``call`` is the asyncio seam the pipeline awaits; ``call_sync`` is
-    the blocking seam the simulated cluster drives from its event loop.
-    ``begin_run``/``end_run`` bracket one pipeline run (the process
-    backend pushes/pulls server state there); ``close`` releases every
-    worker, waiting for them — no leaked threads or child processes.
+    ``call`` returns an awaitable for one op at one server; ``sweep``
+    runs one op at every server and is what the batch lifecycle awaits.
+    ``begin_run``/``end_run`` bracket one run (the process backend
+    pushes/pulls server state there); ``close`` releases every worker,
+    waiting for them — no leaked threads or child processes.
     """
 
     kind = "base"
@@ -376,9 +319,6 @@ class ServerFanout:
             raise error
         return results
 
-    def call_sync(self, s: int, op: str, *args):
-        raise NotImplementedError
-
     def begin_run(self) -> None:
         return None
 
@@ -417,13 +357,43 @@ class LocalFanout(ServerFanout):
             self.executor, getattr(self.ops[s], op), *args
         )
 
-    def call_sync(self, s: int, op: str, *args):
-        return self.executor.submit(getattr(self.ops[s], op), *args).result()
-
     def close(self) -> None:
         # wait=True: repeated runs must not accumulate worker threads.
         if self._own_executor:
             self.executor.shutdown(wait=True)
+
+
+class DirectFanout(ServerFanout):
+    """Ops called straight on the calling thread, with no event loop.
+
+    The synchronous front ends (``PrioDeployment.deliver_batch``,
+    ``GatedDeployment.deliver``) run one batch at a time and gain
+    nothing from an event loop; creating one costs more than a small
+    batch's verification.  :meth:`sweep` never suspends, so a
+    coroutine that awaits only sweeps completes on its first
+    ``send(None)`` (:func:`~repro.protocol.lifecycle.run_batch`).
+    """
+
+    kind = "direct"
+
+    def __init__(self, servers: "list[PrioServer]") -> None:
+        self.servers = servers
+        self.ops = [_ServerOps(server) for server in servers]
+
+    async def sweep(self, op: str, args_per_server):
+        # Every server runs its op even after a peer's failed, as on
+        # the pooled backends; the first failure is re-raised.
+        results = []
+        error: "Exception | None" = None
+        for ops, args in zip(self.ops, args_per_server):
+            try:
+                results.append(getattr(ops, op)(*args))
+            except Exception as exc:  # noqa: BLE001 - run them all
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
+        return results
 
 
 # Worker-process global: the one server this worker owns.
@@ -536,9 +506,6 @@ class ProcessFanout(ServerFanout):
             self.pools[s].submit(_worker_call, op, args)
         )
 
-    def call_sync(self, s: int, op: str, *args):
-        return self.pools[s].submit(_worker_call, op, args).result()
-
     def close(self) -> None:
         for pool in self.pools:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -646,9 +613,8 @@ class ShardedFanout(ServerFanout):
             flat, executor, batch_size
         )
         self.kind = f"sharded({self.inner.kind}x{n_shards})"
-        #: per logical server: batch_id -> plan / group_id -> plan
+        #: per logical server: batch_id -> plan
         self._plans: "list[dict[int, _ShardPlan]]" = [{} for _ in servers]
-        self._gplans: "list[dict[int, _ShardPlan]]" = [{} for _ in servers]
         self._run_open = False
         try:
             self.begin_run()
@@ -716,14 +682,6 @@ class ShardedFanout(ServerFanout):
             return merge(list(results))
         raise return_exceptions_error
 
-    def call_sync(self, s: int, op: str, *args):
-        calls, merge = self._plan(s, op, args)
-        results = [
-            self.inner.call_sync(s * self.n_shards + k, op, *shard_args)
-            for k, shard_args in calls
-        ]
-        return merge(results)
-
     def _plan(self, s: int, op: str, args):
         """Partition one logical-server op into per-shard calls.
 
@@ -738,7 +696,7 @@ class ShardedFanout(ServerFanout):
             raise FanoutError(f"op not supported by the sharded fan-out: {op}")
         return planner(s, *args)
 
-    # -- pipeline ops ---------------------------------------------------
+    # -- op planners ----------------------------------------------------
 
     def _route_positions(self, sids) -> "list[list[int]]":
         positions: "list[list[int]]" = [[] for _ in range(self.n_shards)]
@@ -746,11 +704,26 @@ class ShardedFanout(ServerFanout):
             positions[shard_of(sid, self.n_shards)].append(pos)
         return positions
 
-    def _receive_plan(self, s, batch_id, payloads, positions, extra):
+    def _plan_receive(self, s, batch_id, payloads, kind):
+        if kind == "packet":
+            sids = [packet.submission_id for packet in payloads]
+        else:
+            # Raw frames and sealed envelopes carry the id at a fixed
+            # cleartext offset.  Too-short payloads route to shard 0,
+            # whose receive rejects them with the same WireError the
+            # unsharded path raises.  (A sealed envelope's sid is only
+            # a routing hint — each shard re-validates it against the
+            # authenticated inner header after opening the box.)
+            start, end = (
+                (_ENVELOPE_SID_START, _ENVELOPE_SID_END) if kind == "sealed"
+                else (_WIRE_SID_START, _WIRE_SID_END)
+            )
+            sids = [bytes(data[start:end]) for data in payloads]
+        positions = self._route_positions(sids)
         plan = _ShardPlan(positions)
         self._plans[s][batch_id] = plan
         calls = [
-            (k, (batch_id, [payloads[p] for p in pos]) + extra)
+            (k, (batch_id, [payloads[p] for p in pos], kind))
             for k, pos in enumerate(positions)
             if pos
         ]
@@ -764,45 +737,6 @@ class ShardedFanout(ServerFanout):
             return out
 
         return calls, merge
-
-    def _sealed_positions(self, payloads) -> "list[list[int]]":
-        # Sealed packets carry their submission id in the cleartext
-        # envelope; route on it like raw frames.  Too-short payloads
-        # route to shard 0, whose receive rejects them with the same
-        # WireError the unsharded path raises.  (The envelope sid is
-        # only a routing hint — each shard re-validates it against the
-        # authenticated inner header after opening the box.)
-        return self._route_positions(
-            [
-                bytes(data[_ENVELOPE_SID_START:_ENVELOPE_SID_END])
-                for data in payloads
-            ]
-        )
-
-    def _plan_receive(self, s, batch_id, payloads, encrypt):
-        if encrypt:
-            positions = self._sealed_positions(payloads)
-        else:
-            positions = self._route_positions(
-                [packet.submission_id for packet in payloads]
-            )
-        return self._receive_plan(
-            s, batch_id, payloads, positions, (encrypt,)
-        )
-
-    def _plan_receive_sealed(self, s, batch_id, payloads):
-        return self._receive_plan(
-            s, batch_id, payloads, self._sealed_positions(payloads), ()
-        )
-
-    def _plan_receive_wire(self, s, batch_id, payloads):
-        # Raw frames: the id sits at a fixed header offset.  Too-short
-        # frames route to shard 0, whose receive rejects them with the
-        # same WireError the unsharded path raises.
-        positions = self._route_positions(
-            [bytes(data[_WIRE_SID_START:_WIRE_SID_END]) for data in payloads]
-        )
-        return self._receive_plan(s, batch_id, payloads, positions, ())
 
     def _plan_ingest(self, s, batch_id, keep):
         plan = self._plans[s][batch_id]
@@ -908,7 +842,7 @@ class ShardedFanout(ServerFanout):
 
         return calls, merge
 
-    def _settle_plan(self, s, op, batch_id):
+    def _plan_abandon(self, s, batch_id):
         # Cleanup sweeps go to every shard: the per-shard op tolerates
         # unknown batch ids, and a partially-dispatched batch may be
         # open at any subset of them.
@@ -916,75 +850,10 @@ class ShardedFanout(ServerFanout):
         calls = [(k, (batch_id,)) for k in range(self.n_shards)]
         return calls, lambda results: None
 
-    def _plan_reject_all(self, s, batch_id):
-        return self._settle_plan(s, "reject_all", batch_id)
-
-    def _plan_abandon_all(self, s, batch_id):
-        return self._settle_plan(s, "abandon_all", batch_id)
-
     def _plan_abandon_open(self, s):
         self._plans[s].clear()
-        self._gplans[s].clear()
         calls = [(k, ()) for k in range(self.n_shards)]
         return calls, lambda results: None
-
-    # -- cluster (group) ops -------------------------------------------
-
-    def _plan_receive_one(self, s, packet):
-        k = shard_of(packet.submission_id, self.n_shards)
-        return [(k, (packet,))], lambda results: results[0]
-
-    def _plan_begin_group(self, s, gid, sids):
-        sids = list(sids)
-        positions = self._route_positions(sids)
-        plan = _ShardPlan(positions)
-        plan.n_survivors = len(sids)
-        calls = []
-        for k, pos in enumerate(positions):
-            if not pos:
-                continue
-            plan.shard_order.append(k)
-            plan.ranks.append(pos)     # caller order == global rank
-            calls.append((k, (gid, [sids[i] for i in pos])))
-        self._gplans[s][gid] = plan
-
-        def merge(results):
-            return self._merge_round(
-                s, plan,
-                [(batch.d, batch.e) for batch in results],
-                lambda d, e: Round1Batch(d=d, e=e),
-            )
-
-        return calls, merge
-
-    def _plan_finish_group(self, s, gid, round1_batches):
-        plan = self._gplans[s][gid]
-        calls = [
-            (k, (gid, self._split_round1(round1_batches, indices)))
-            for k, indices in zip(plan.shard_order, plan.ranks)
-        ]
-
-        def merge(results):
-            return self._merge_round(
-                s, plan,
-                [(batch.sigma, batch.assertion) for batch in results],
-                lambda sg, an: Round2Batch(sigma=sg, assertion=an),
-            )
-
-        return calls, merge
-
-    def _plan_settle_group(self, s, gid, decisions):
-        plan = self._gplans[s][gid]
-        calls = [
-            (k, (gid, [decisions[r] for r in indices]))
-            for k, indices in zip(plan.shard_order, plan.ranks)
-        ]
-
-        def merge(results):
-            self._gplans[s].pop(gid, None)
-            return None
-
-        return calls, merge
 
 
 # ----------------------------------------------------------------------

@@ -40,14 +40,18 @@ and overlapped:
 Queue bounds give backpressure: a slow verify stage stalls ingest
 instead of buffering unbounded plane matrices.
 
-Semantics are identical across backends and to the synchronous path —
-same per-submission accept/reject decisions, same replay protection,
-same statistics; every backend executes the one shared op
-implementation (:class:`~repro.protocol.fanout._ServerOps`), and the
-equivalence tests drive all of them and compare.  Failure isolation is
-per batch: an exception thrown inside a worker (a crashed process, a
-poisoned batch) rejects that batch's submissions alone, and the
-pipeline keeps draining the stream.
+Semantics are identical across backends and to the synchronous path:
+both stages are halves of the one batch lifecycle
+(:class:`~repro.protocol.lifecycle.BatchLifecycle` — ``admit`` in the
+ingest stage, ``decide`` in the verify stage), so decisions, replay
+protection and statistics match ``deliver_batch``, and the equivalence
+tests drive every backend and compare.  Failures follow the
+lifecycle's one policy: a fault before the commit (a crashed process,
+a raising op) abandons that batch alone — its ids are released, its
+submissions return ``False`` and count as worker failures, an honest
+retry is accepted — and the pipeline keeps draining the stream.  A
+fault inside the accumulate commit is fatal: the run stops and
+re-raises it.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from repro.protocol.fanout import ServerFanout, resolve_fanout
+from repro.protocol.lifecycle import BatchLifecycle, Outcome
 from repro.protocol.server import PrioServer
 
 __all__ = [
@@ -76,7 +81,7 @@ class PipelineStats:
     n_batches: int = 0
     n_receive_failures: int = 0
     #: submissions failed by a worker/backend crash (not a protocol
-    #: rejection): the batch was rejected and the stream continued
+    #: rejection): the batch was abandoned and the stream continued
     n_worker_failures: int = 0
     #: ingest batches that were in flight when verify started one —
     #: a direct measure of stage overlap (0 on a fully serial run)
@@ -88,20 +93,6 @@ class PipelineStats:
     #: prover framed, and their total upload bytes
     client_batches: int = 0
     upload_bytes: int = 0
-
-
-@dataclass
-class _IngestedBatch:
-    """One verification batch, ingested and ready for the rounds.
-
-    The ingested share planes themselves stay wherever the backend
-    keeps server state (driver process or per-server worker), keyed by
-    ``batch_id``; only the bookkeeping crosses stages.
-    """
-
-    batch_id: int
-    #: positions (into the submission stream) that survived receive
-    indices: list[int]
 
 
 class AsyncPrioPipeline:
@@ -143,7 +134,6 @@ class AsyncPrioPipeline:
         #: False when a reused backend could not be state-synced for
         #: this run (ops must not run against stale worker state)
         self._backend_ready = True
-        self._next_batch_id = 0
 
     # ------------------------------------------------------------------
 
@@ -187,12 +177,11 @@ class AsyncPrioPipeline:
 
     async def _run_stream(self, submissions, make_producer) -> list[bool]:
         # A pipeline object is reusable: every run starts from fresh
-        # per-run state.  Without this, a second run() reports the
-        # previous run's counters folded into its own and resumes
-        # batch ids mid-stream (confusing any op log keyed on them).
+        # per-run state (and a fresh lifecycle, so batch ids restart).
+        # Without this, a second run() reports the previous run's
+        # counters folded into its own.
         self.stats = PipelineStats()
         self._verifying = False
-        self._next_batch_id = 0
         results: "list[bool]" = [False] * len(submissions)
         fanout, owned = resolve_fanout(
             self.servers, self.executor, self.batch_size, self.n_shards
@@ -213,17 +202,18 @@ class AsyncPrioPipeline:
                 except Exception:  # noqa: BLE001
                     synced = False
             self._backend_ready = synced
+            lifecycle = BatchLifecycle(self.servers, fanout)
             ingest_q: asyncio.Queue = asyncio.Queue(self.queue_depth)
             verify_q: asyncio.Queue = asyncio.Queue(self.queue_depth)
             tasks = [
                 asyncio.create_task(make_producer(ingest_q)),
                 asyncio.create_task(
                     self._ingest_stage(
-                        submissions, ingest_q, verify_q, results, fanout
+                        submissions, ingest_q, verify_q, results, lifecycle
                     )
                 ),
                 asyncio.create_task(
-                    self._verify_stage(verify_q, results, fanout)
+                    self._verify_stage(verify_q, results, lifecycle)
                 ),
             ]
             try:
@@ -239,12 +229,7 @@ class AsyncPrioPipeline:
                 # decided: release their ids (an honest retry must not
                 # look like a replay) and their batch state (a reused
                 # backend must not pin plane matrices forever).
-                try:
-                    await fanout.sweep(
-                        "abandon_open", [()] * len(self.servers)
-                    )
-                except BaseException:  # noqa: BLE001 - cleanup only
-                    pass
+                await lifecycle.abandon_open()
                 raise
         finally:
             try:
@@ -299,40 +284,28 @@ class AsyncPrioPipeline:
         await ingest_q.put(_DONE)
 
     # ------------------------------------------------------------------
-    # Stage 2: receive (framing) + plane ingest, per server in workers
+    # Stage 2: the lifecycle's admit half (receive + plane ingest)
     # ------------------------------------------------------------------
 
-    def _payloads_for(self, server_slot: int, submissions, indices):
-        """One server's slice of a batch, in cross-boundary form.
-
-        Packets are selected by the server's *protocol* index, not its
-        position in ``self.servers`` — a shuffled server list must
-        still route every share to the server it was addressed to.
-        """
-        index = self.servers[server_slot].server_index
-        if self.encrypt:
-            return [submissions[i].sealed_packets[index] for i in indices]
-        return [submissions[i].packets[index] for i in indices]
-
-    async def _cleanup_batch(self, fanout, batch_id: int, op: str) -> None:
-        """Best-effort per-server sweep after a mid-batch failure."""
-        for s in range(len(self.servers)):
-            try:
-                await fanout.call(s, op, batch_id)
-            except Exception:  # noqa: BLE001 - backend may be gone
+    def _record(self, results, settled) -> None:
+        """Map ``(stream index, outcome)`` pairs back onto the stream;
+        ``None`` outcomes are still waiting for the decide half."""
+        for index, outcome in settled:
+            if outcome is None:
                 continue
+            results[index] = outcome is Outcome.ACCEPTED
+            if outcome is Outcome.ABANDONED:
+                self.stats.n_worker_failures += 1
 
     async def _ingest_stage(
-        self, submissions, ingest_q, verify_q, results, fanout
+        self, submissions, ingest_q, verify_q, results, lifecycle
     ) -> None:
-        n_servers = len(self.servers)
+        kind = "sealed" if self.encrypt else "packet"
         while True:
             batch = await ingest_q.get()
             if batch is _DONE:
                 await verify_q.put(_DONE)
                 return
-            batch_id = self._next_batch_id
-            self._next_batch_id += 1
             self.stats.n_batches += 1
             if not self._backend_ready:
                 # State push failed on a reused backend: running ops
@@ -341,116 +314,43 @@ class AsyncPrioPipeline:
                 self.stats.n_worker_failures += len(batch)
                 self.stats.batch_sizes.append(0)
                 continue
-            try:
-                # Receive mutates only per-server replay state, so the
-                # servers' fused frame-check+decode sweeps fan out
-                # safely; within one server the batch stays in stream
-                # order.
-                received = await fanout.sweep("receive", [
-                    (
-                        batch_id,
-                        self._payloads_for(s, submissions, batch),
-                        self.encrypt,
-                    )
-                    for s in range(n_servers)
-                ])
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                # A worker died mid-receive: fail this batch alone.
-                # Servers that did receive must release the ids so an
-                # honest retry is not mistaken for a replay.
-                await self._cleanup_batch(fanout, batch_id, "abandon_all")
-                self.stats.n_worker_failures += len(batch)
-                self.stats.batch_sizes.append(0)
-                continue
-            survivors: list[int] = []
-            keep: list[int] = []
-            for pos, index in enumerate(batch):
-                if any(received[s][pos] is not None for s in range(n_servers)):
-                    # Mirror of the synchronous fan-out rule; the
-                    # ingest op below abandons this position at the
-                    # servers whose receive succeeded.
-                    self.stats.n_receive_failures += 1
-                    results[index] = False
-                else:
-                    survivors.append(index)
-                    keep.append(pos)
-            try:
-                # The heavy part — PRG expansion and byte decode into
-                # plane matrices — fans out per server.
-                await fanout.sweep(
-                    "ingest", [(batch_id, keep)] * n_servers
-                )
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                await self._cleanup_batch(fanout, batch_id, "abandon_all")
-                self.stats.n_worker_failures += len(survivors)
-                self.stats.batch_sizes.append(0)
-                continue
-            self.stats.batch_sizes.append(len(survivors))
+            admission = await lifecycle.admit(
+                [
+                    submissions[i].sealed_packets if self.encrypt
+                    else submissions[i].packets
+                    for i in batch
+                ],
+                kind,
+            )
+            self.stats.n_receive_failures += admission.outcomes.count(
+                Outcome.REJECTED
+            )
+            self._record(results, zip(batch, admission.outcomes))
+            self.stats.batch_sizes.append(len(admission.survivors))
             if self._verifying:
                 self.stats.overlapped_batches += 1
-            if survivors:
-                await verify_q.put(
-                    _IngestedBatch(batch_id=batch_id, indices=survivors)
-                )
+            if admission.survivors:
+                await verify_q.put((batch, admission))
 
     # ------------------------------------------------------------------
-    # Stage 3: the two SNIP rounds + decide + accumulate
+    # Stage 3: the lifecycle's decide half (rounds, decide, commit)
     # ------------------------------------------------------------------
 
-    async def _verify_stage(self, verify_q, results, fanout) -> None:
-        n_servers = len(self.servers)
+    async def _verify_stage(self, verify_q, results, lifecycle) -> None:
         while True:
             item = await verify_q.get()
             if item is _DONE:
                 return
+            batch, admission = item
             self._verifying = True
             try:
-                round1_batches = await fanout.sweep(
-                    "round1", [(item.batch_id,)] * n_servers
-                )
-                # The round-1/round-2 broadcasts stay in plane form —
-                # every server consumes the same per-server batches.
-                round2_batches = await fanout.sweep(
-                    "round2",
-                    [(item.batch_id, round1_batches)] * n_servers,
-                )
-                decisions = self.servers[0].decide_batch(round2_batches)
-            except asyncio.CancelledError:
-                raise
-            except ValueError:
-                # Defensive mirror of the synchronous path: shapes were
-                # validated at receive time, so fail the whole batch
-                # rather than mis-credit any of it.
-                await self._cleanup_batch(fanout, item.batch_id, "reject_all")
-                for index in item.indices:
-                    results[index] = False
-                continue
-            except Exception:
-                # A worker died mid-round: nothing was committed yet,
-                # so reject this batch alone and keep draining.
-                await self._cleanup_batch(fanout, item.batch_id, "reject_all")
-                self.stats.n_worker_failures += len(item.indices)
-                for index in item.indices:
-                    results[index] = False
-                continue
+                # A fault inside the commit propagates: the run fails.
+                outcomes = await lifecycle.decide(admission)
             finally:
                 self._verifying = False
-            # The commit point.  A failure here cannot be isolated to
-            # the batch: servers that already folded it into their
-            # accumulators cannot roll back, so a partial commit leaves
-            # the server set divergent (shares would no longer cancel
-            # at publish).  Let the exception propagate — the run fails
-            # loudly instead of silently publishing garbage (PR 3
-            # likewise ran Aggregate outside its defensive net).
-            await fanout.sweep(
-                "accumulate", [(item.batch_id, decisions)] * n_servers
+            self._record(
+                results, ((batch[p], outcomes[p]) for p in admission.survivors)
             )
-            for index, accepted in zip(item.indices, decisions):
-                results[index] = accepted
 
 
 def run_pipelined(

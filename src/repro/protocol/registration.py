@@ -18,10 +18,13 @@ This module implements that defence on top of the base pipeline:
   Schnorr public keys;
 * :class:`RegisteredClient` — wraps :class:`PrioClient`, signing every
   packet with the client's registered key;
-* :class:`GatedServer` — wraps :class:`PrioServer`, rejecting packets
-  from unregistered keys or with bad signatures, counting *distinct*
-  registered contributors (a Sybil submitting twice counts once), and
-  refusing to publish below the threshold.
+* :class:`GatedServer` — wraps :class:`PrioServer`, counting
+  *distinct* registered contributors (a Sybil submitting twice counts
+  once) and refusing to publish below the threshold;
+* :class:`GatedDeployment` — rejects an upload from an unregistered key
+  or with a bad signature before any server sees it, then runs the
+  rest through the one batch lifecycle
+  (:func:`~repro.protocol.lifecycle.run_batch`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from repro.afe.base import Afe
 from repro.crypto.sign import SigningKeyPair, sign, verify
 from repro.ec.p256 import Point
 from repro.protocol.client import PrioClient
-from repro.protocol.server import PendingSubmission, PrioServer, ProtocolError
+from repro.protocol.lifecycle import Outcome, run_batch
+from repro.protocol.server import PrioServer, ProtocolError
 from repro.protocol.wire import ClientPacket
 from repro.snip.verifier import ServerRandomness
 
@@ -107,7 +111,8 @@ class RegisteredClient:
 
 
 class GatedServer(PrioServer):
-    """A PrioServer that enforces registration and publish gating."""
+    """A PrioServer that counts registered contributors and gates
+    publish on their number."""
 
     def __init__(
         self,
@@ -126,25 +131,9 @@ class GatedServer(PrioServer):
         self.publish_threshold = publish_threshold
         self._contributors: set[bytes] = set()
 
-    def receive_signed(self, signed: SignedPacket) -> PendingSubmission:
-        if not self.registry.is_registered(signed.client_id):
-            raise RegistrationError("client is not registered")
-        public = self.registry.public_key(signed.client_id)
-        if not verify(public, signed.signed_bytes(), signed.signature):
-            raise RegistrationError("bad submission signature")
-        pending = self.receive(signed.packet)
-        # Tag the pending submission with its contributor so acceptance
-        # can be attributed (one Sybil key = one contributor).
-        pending.contributor_id = signed.client_id  # type: ignore[attr-defined]
-        return pending
-
-    def _note_accepted(self, pending: PendingSubmission) -> None:
-        # Hooks both Aggregate paths (scalar accumulate and the
-        # vectorized accumulate_batch).
-        super()._note_accepted(pending)
-        contributor = getattr(pending, "contributor_id", None)
-        if contributor is not None:
-            self._contributors.add(contributor)
+    def credit(self, client_id: bytes) -> None:
+        """Record an accepted submission's registered contributor."""
+        self._contributors.add(client_id)
 
     @property
     def n_contributors(self) -> int:
@@ -196,29 +185,33 @@ class GatedDeployment:
         self.registry.register(keypair.public)
         return RegisteredClient(self.afe, self.n_servers, keypair, rng=rng)
 
-    def deliver(self, signed_packets: list[SignedPacket]) -> bool:
-        pendings = []
-        try:
-            for server, signed in zip(self.servers, signed_packets):
-                pendings.append(server.receive_signed(signed))
-        except ProtocolError:
+    def _authentic(self, signed: SignedPacket) -> bool:
+        if not self.registry.is_registered(signed.client_id):
             return False
-        parties, round1 = [], []
-        for server, pending in zip(self.servers, pendings):
-            party, msg = server.begin_verification(pending)
-            parties.append(party)
-            round1.append(msg)
-        round2 = [
-            server.finish_verification(party, round1)
-            for server, party in zip(self.servers, parties)
-        ]
-        accepted = self.servers[0].decide(round2)
-        for server, pending in zip(self.servers, pendings):
-            if accepted:
-                server.accumulate(pending)
-            else:
-                server.reject(pending)
-        return accepted
+        public = self.registry.public_key(signed.client_id)
+        return verify(public, signed.signed_bytes(), signed.signature)
+
+    def deliver(self, signed_packets: list[SignedPacket]) -> bool:
+        """Verify one signed upload; returns whether it was accepted.
+
+        Registration and every packet's signature are checked before
+        any server receives a packet, so a forged upload leaves no id
+        pending anywhere and the honest upload is still accepted.
+        """
+        if len(signed_packets) != self.n_servers or not all(
+            self._authentic(signed) for signed in signed_packets
+        ):
+            return False
+        [outcome] = run_batch(
+            self.servers,
+            [[signed.packet for signed in signed_packets]],
+            "packet",
+        )
+        if outcome is not Outcome.ACCEPTED:
+            return False
+        for server, signed in zip(self.servers, signed_packets):
+            server.credit(signed.client_id)
+        return True
 
     def publish(self):
         shares = [server.publish() for server in self.servers]

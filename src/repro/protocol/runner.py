@@ -30,7 +30,8 @@ from dataclasses import dataclass, field as dc_field
 from repro.afe.base import Afe
 from repro.crypto.box import BoxKeyPair
 from repro.protocol.client import ClientSubmission, PrioClient
-from repro.protocol.server import PendingSubmission, PrioServer, ProtocolError
+from repro.protocol.lifecycle import Outcome, run_batch
+from repro.protocol.server import PrioServer, ProtocolError
 from repro.snip.verifier import ServerRandomness
 
 
@@ -190,79 +191,32 @@ class PrioDeployment:
     def deliver_batch(self, submissions) -> list[bool]:
         """Run a batch of prepared submissions through the pipeline.
 
-        Framing errors (wrong length, replay, bad seal) reject the
+        One pass of the batch lifecycle on the calling thread
+        (:func:`~repro.protocol.lifecycle.run_batch`, no event loop):
+        framing errors (wrong length, replay, bad seal) reject the
         offending submission alone; the rest of the batch proceeds to
         one vectorized SNIP verification sweep per server, after which
         every submission is accepted or rejected — and counted in the
-        statistics — individually.
+        statistics — individually.  A fault before the commit abandons
+        the batch (every submission returns ``False``, ids released);
+        a fault inside the accumulate commit propagates.
         """
         submissions = list(submissions)
-        results: list[bool | None] = [None] * len(submissions)
-        received: list[tuple[int, list[PendingSubmission]]] = []
-        for idx, submission in enumerate(submissions):
+        for submission in submissions:
             self.stats.n_submitted += 1
             self.stats.upload_bytes_total += submission.upload_bytes
-            pendings: list[PendingSubmission] = []
-            try:
-                for i, server in enumerate(self.servers):
-                    if self.encrypt:
-                        pendings.append(
-                            server.receive_sealed(submission.sealed_packets[i])
-                        )
-                    else:
-                        pendings.append(server.receive(submission.packets[i]))
-            except (ProtocolError, ValueError):
-                # Servers that did receive must release the id: no
-                # decision was made, and an honest retry must not be
-                # mistaken for a replay.
-                for server, pending in zip(self.servers, pendings):
-                    server.abandon(pending)
-                self.stats.n_rejected += 1
-                results[idx] = False
-                continue
-            received.append((idx, pendings))
-
-        if received:
-            try:
-                parties = []
-                round1_by_server = []
-                for s, server in enumerate(self.servers):
-                    party, round1 = server.begin_verification_batch(
-                        [pendings[s] for _, pendings in received]
-                    )
-                    parties.append(party)
-                    round1_by_server.append(round1)
-                # The round-1/round-2 broadcasts stay in plane form —
-                # every server consumes the same per-server batches.
-                round2_by_server = [
-                    server.finish_verification_batch(party, round1_by_server)
-                    for server, party in zip(self.servers, parties)
-                ]
-                decisions = self.servers[0].decide_batch(round2_by_server)
-            except (ProtocolError, ValueError):
-                # Shapes were validated at receive time, so this is a
-                # defensive path: fail the whole batch, one submission
-                # at a time, rather than mis-credit any of it.
-                for idx, pendings in received:
-                    for server, pending in zip(self.servers, pendings):
-                        server.reject(pending)
-                    self.stats.n_rejected += 1
-                    results[idx] = False
-                return [bool(r) for r in results]
-
-            # Aggregate consumes the ingested planes: one vectorized
-            # fold per server for the whole batch's accepted rows.
-            for s, server in enumerate(self.servers):
-                server.accumulate_batch(
-                    [pendings[s] for _, pendings in received], decisions
-                )
-            for (idx, _), accepted in zip(received, decisions):
-                if accepted:
-                    self.stats.n_accepted += 1
-                else:
-                    self.stats.n_rejected += 1
-                results[idx] = accepted
-        return [bool(r) for r in results]
+        outcomes = run_batch(
+            self.servers,
+            [
+                s.sealed_packets if self.encrypt else s.packets
+                for s in submissions
+            ],
+            "sealed" if self.encrypt else "packet",
+        )
+        decisions = [outcome is Outcome.ACCEPTED for outcome in outcomes]
+        self.stats.n_accepted += sum(decisions)
+        self.stats.n_rejected += len(decisions) - sum(decisions)
+        return decisions
 
     def deliver_pipelined(
         self, submissions, queue_depth: int = 2, executor=None

@@ -43,9 +43,7 @@ from repro.snip.verifier import (
     Round1Batch,
     Round1Message,
     Round2Batch,
-    Round2Message,
     ServerRandomness,
-    SnipVerifierParty,
     VerificationContext,
 )
 
@@ -315,9 +313,8 @@ class PrioServer:
 
         Wrong server, replay, body-size inconsistency, and wrong
         share-vector length all raise here.  On success the packet's id
-        is pending (replay-protected), and the caller owns the body
-        decode — per packet in :meth:`receive`, batched with offender
-        isolation in :meth:`receive_batch`.
+        is pending (replay-protected), and :meth:`receive_batch` owns
+        the body decode, batched with offender isolation.
         """
         if packet.server_index != self.server_index:
             raise ProtocolError(
@@ -359,35 +356,16 @@ class PrioServer:
         return pending
 
     def receive(self, packet: ClientPacket) -> PendingSubmission:
-        """De-frame a packet into a (possibly latent) pending submission.
+        """Receive one packet (a batch of one).
 
-        Framing is validated eagerly — wrong server, replay, body-size
-        inconsistency, wrong share-vector length, and (for EXPLICIT
-        bodies) out-of-range elements all raise here, so a bad upload
-        rejects alone.  The share *values* stay zero-copy: EXPLICIT
-        bodies run through the checked batch byte decoder (a batch of
-        one — the same kernel, range rejection, and wire hardening as
-        every other batch size; no unchecked scalar decode remains),
-        SEED bodies are kept as seeds and expanded in one vectorized
-        sweep per verification batch.
+        Same kernels, checks, and typed errors as
+        :meth:`receive_batch`; the raised exception is the
+        per-position result the batch path would have reported.
         """
-        pending = self._receive_framed(packet)
-        if packet.kind is PacketKind.EXPLICIT:
-            try:
-                # Decode on the configured backend, not the tiny-batch
-                # heuristic: a numpy-decoded row joins a later batched
-                # assembly by plane copy, where a pure row would be
-                # re-encoded element by element.
-                pending._source = (
-                    decode_bytes_batch(
-                        self.field, [packet.body], self.force_pure_backend
-                    ),
-                    0,
-                )
-            except FieldError:
-                self._pending_ids.discard(packet.submission_id)
-                raise
-        return pending
+        result = self.receive_batch([packet])[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def receive_batch(
         self, packets: "list[ClientPacket]"
@@ -469,9 +447,7 @@ class PrioServer:
         return out
 
     # ------------------------------------------------------------------
-    # Verification rounds (lock-step with peers).  The batched plane
-    # forms are the only implementation; the per-submission entry
-    # points below them are thin batch-of-one wrappers.
+    # Verification rounds (lock-step with peers), in batched plane form
     # ------------------------------------------------------------------
 
     def _ingest_batch(self, pendings: list[PendingSubmission]) -> BatchVector:
@@ -576,30 +552,6 @@ class PrioServer:
         return Round2Batch.decide_all(round2_batches)
 
     # ------------------------------------------------------------------
-    # Per-submission wrappers (a batch of one)
-    # ------------------------------------------------------------------
-
-    def begin_verification(
-        self, pending: PendingSubmission
-    ) -> tuple["BatchedSnipVerifierParty | None", Round1Message]:
-        party, batch = self.begin_verification_batch([pending])
-        return party, batch.at(0)
-
-    def finish_verification(
-        self,
-        party: "BatchedSnipVerifierParty | None",
-        round1_messages: list[Round1Message],
-    ) -> Round2Message:
-        return self.finish_verification_batch(
-            party, [round1_messages]
-        ).at(0)
-
-    def decide(self, round2_messages: list[Round2Message]) -> bool:
-        if self.circuit is None:
-            return True
-        return SnipVerifierParty.decide(self.field, round2_messages)
-
-    # ------------------------------------------------------------------
     # Aggregate / publish
     # ------------------------------------------------------------------
 
@@ -657,28 +609,16 @@ class PrioServer:
             )
         self._accumulator = self._accumulator + batch_sum
         for pending in accepted_pendings:
-            self._note_accepted(pending)
-
-    def accumulate(self, pending: PendingSubmission) -> None:
-        """Fold the truncated share into the accumulator (step 3).
-
-        A batch of one — the identical plane-resident Aggregate sweep.
-        """
-        self.accumulate_batch([pending], [True])
-
-    def _note_accepted(self, pending: PendingSubmission) -> None:
-        """Post-accumulation bookkeeping (shared by both Aggregate paths).
-
-        Order matters: the id enters the replay cache *before* leaving
-        ``_pending_ids``, so a concurrent replay check (the async
-        pipeline receives batch ``N+1`` on executor threads while batch
-        ``N`` accumulates) always sees it in at least one set.
-        """
-        self._replay.add(pending.submission_id)
-        self._pending_ids.discard(pending.submission_id)
-        self._submissions_this_epoch += 1
-        self.n_accepted += 1
-        pending.release()
+            # Order matters: the id enters the replay cache *before*
+            # leaving ``_pending_ids``, so a concurrent replay check
+            # (the async pipeline receives batch ``N+1`` on executor
+            # threads while batch ``N`` accumulates) always sees it in
+            # at least one set.
+            self._replay.add(pending.submission_id)
+            self._pending_ids.discard(pending.submission_id)
+            self._submissions_this_epoch += 1
+            self.n_accepted += 1
+            pending.release()
 
     def reject(self, pending: PendingSubmission) -> None:
         self._replay.add(pending.submission_id)

@@ -11,23 +11,27 @@ across a real WAN.
 
 Verification is *group-granular*: each server buffers arriving uploads
 into groups of ``batch_size`` (1 by default — one submission per
-group, the paper's baseline) and runs the vectorized
-``begin_verification_batch``/``finish_verification_batch`` path once
-per group, so one round-1/round-2 broadcast carries a whole group's
-messages.  Upload order is deterministic per link, so every server
-forms identical groups; group membership is carried in the broadcasts
-and cross-checked.  Decisions, accumulation, and replay protection
-remain per submission.
+group, the paper's baseline) and verifies each group as one batch, so
+one round-1/round-2 broadcast carries a whole group's messages.
+Upload order is deterministic per link, so every server forms
+identical groups; group membership is carried in the broadcasts and
+cross-checked.  Decisions, accumulation, and replay protection remain
+per submission.
 
-Server-side CPU work executes through the same backend seam as the
-async pipeline (:mod:`repro.protocol.fanout`): ``executor="inline"``
-(default) runs it on the event loop's thread, ``executor="process"``
-gives every simulated server a dedicated worker process that owns its
-state — the single-host stand-in for the paper's
-one-server-per-machine deployment.  The event schedule, group
-membership, and decisions are identical either way (asserted by the
-integration tests); the node adapters only ever exchange ids and
-plane-form round batches with the backend.
+Server-side CPU work executes through the same batch-id-keyed ops as
+every other front end (:class:`~repro.protocol.fanout._ServerOps`),
+keyed by group id: a node receives and ingests a group when it forms
+it, then runs round 1, round 2 and the accumulate commit as the
+broadcasts arrive.  A server that refuses an upload of its own group
+(the simulation has no retry path) raises :class:`SimError`.
+``executor="inline"`` (default) runs the ops on the event loop's
+thread, ``executor="process"`` gives every simulated server a
+dedicated worker process that owns its state — the single-host
+stand-in for the paper's one-server-per-machine deployment.  The event
+schedule, group membership, and decisions are identical either way
+(asserted by the integration tests); the node adapters only ever
+exchange packets, verdicts and plane-form round batches with the
+backend.
 
 Used by the integration tests (correctness must be independent of
 message timing and of ``batch_size``) and by latency experiments (how
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field as dc_field
 
 from repro.afe.base import Afe
 from repro.protocol.client import PrioClient
+from repro.protocol.wire import ClientPacket
 from repro.protocol.fanout import ServerFanout, resolve_fanout
 from repro.protocol.server import PrioServer
 from repro.simnet.network import SimError, SimNetwork
@@ -103,7 +108,7 @@ class _ServerNode:
         self.batch_size = batch_size
         self.expected_uploads = expected_uploads
         self.uploads_received = 0
-        self._buffer: list[bytes] = []
+        self._buffer: list[ClientPacket] = []
         self._next_group = 0
         self.groups: dict[int, _GroupState] = {}
         self.decisions: dict[bytes, bool] = {}
@@ -121,9 +126,8 @@ class _ServerNode:
     # ------------------------------------------------------------------
 
     async def _on_upload(self, net: SimNetwork, packet) -> None:
-        sid = await self.fanout.call(self.index, "receive_one", packet)
         self.uploads_received += 1
-        self._buffer.append(sid)
+        self._buffer.append(packet)
         # Close the group when full — or when no further uploads can
         # arrive (the final, possibly partial, group).
         if (
@@ -133,10 +137,20 @@ class _ServerNode:
             await self._form_group(net)
 
     async def _form_group(self, net: SimNetwork) -> None:
-        sids = tuple(self._buffer)
+        packets = list(self._buffer)
         self._buffer.clear()
         gid = self._next_group
         self._next_group += 1
+        verdicts = await self.fanout.call(
+            self.index, "receive", gid, packets, "packet"
+        )
+        for verdict in verdicts:
+            if verdict is not None:
+                raise SimError(
+                    f"server {self.index} refused an upload of group "
+                    f"{gid}: {verdict}"
+                ) from verdict
+        sids = tuple(packet.submission_id for packet in packets)
         state = self.groups.get(gid)
         if state is None:
             state = self.groups[gid] = _GroupState(sids=sids)
@@ -147,7 +161,10 @@ class _ServerNode:
                 raise SimError(f"group {gid} membership disagreement")
             state.sids = sids
         state.formed = True
-        round1 = await self.fanout.call(self.index, "begin_group", gid, sids)
+        await self.fanout.call(
+            self.index, "ingest", gid, range(len(packets))
+        )
+        round1 = await self.fanout.call(self.index, "round1", gid)
         state.round1[self.index] = round1
         # The broadcast carries the plane-form batch; the byte cost on
         # the simulated wire is unchanged (two elements per submission).
@@ -190,7 +207,7 @@ class _ServerNode:
             state.round1[s] for s in range(self.n_servers)
         ]
         round2 = await self.fanout.call(
-            self.index, "finish_group", gid, round1_batches
+            self.index, "round2", gid, round1_batches
         )
         state.round2_sent = True
         state.round2[self.index] = round2
@@ -221,7 +238,7 @@ class _ServerNode:
             state.round2[s] for s in range(self.n_servers)
         ]
         decisions = self.server.decide_batch(round2_batches)
-        await self.fanout.call(self.index, "settle_group", gid, decisions)
+        await self.fanout.call(self.index, "accumulate", gid, decisions)
         for sid, accepted in zip(state.sids, decisions):
             self.decisions[sid] = accepted
             self.decision_times.append(net.clock)
@@ -251,7 +268,7 @@ def run_cluster(
     backend-independent.  Server handlers execute through the network's
     latency-window concurrency (:meth:`SimNetwork.run_async`), so with
     a thread/process/sharded backend distinct servers' CPU work
-    genuinely overlaps instead of serializing through ``call_sync``.
+    genuinely overlaps instead of serializing.
     ``client_batch_size > 1`` prepares uploads through the batched
     plane-resident client prover in chunks of that size — end-to-end
     cluster runs are then batched on *both* halves of the protocol;

@@ -3,11 +3,12 @@
 :class:`PrioTransportServer` hosts a full logical server set behind
 real TCP and/or unix-domain listeners.  Clients stream length-framed
 uploads (:mod:`repro.transport.framing`); the front end groups them
-into verification batches and drives the same batch-id-keyed op seam
-(:class:`~repro.protocol.fanout._ServerOps`) the in-memory pipeline
-uses — receive straight from wire bytes, plane ingest, the two SNIP
-rounds, accumulate — so decisions are bit-identical to
-:func:`~repro.protocol.pipeline.run_pipelined` on the same uploads.
+into verification batches and runs each through the same batch
+lifecycle (:class:`~repro.protocol.lifecycle.BatchLifecycle`) the
+in-memory pipeline uses — receive straight from wire bytes, plane
+ingest, the two SNIP rounds, accumulate — so decisions are
+bit-identical to :func:`~repro.protocol.pipeline.run_pipelined` on the
+same uploads.
 Packet bytes go from the socket buffer to the fused batch decode with
 no intermediate per-packet materialization: frames split into byte
 slices, headers parse as fixed-offset views, and every body joins one
@@ -41,6 +42,16 @@ connection alone.  Protocol-level badness inside a well-formed frame
 (bad share ranges, replays, wrong lengths) stays per submission:
 the offending upload is ``REJECTED``, batchmates are unaffected.
 
+**One failure policy.**  Each upload's status is its lifecycle
+outcome: ``ACCEPTED``, ``REJECTED``, or ``BUSY`` for an *abandoned*
+batch — a fault (a crashed worker, a raising op) before the accumulate
+commit releases the batch's ids, so the retry is processed afresh.  A
+fault inside the commit is fatal: some servers may have folded the
+batch into their accumulators, so the batch is answered ``REJECTED``
+(a retry would be a replay there), nothing more is verified, every
+later upload is answered ``BUSY``, and :meth:`stop` re-raises the
+fault after draining.
+
 **Graceful drain.**  :meth:`stop` closes the listeners, flushes the
 partial batch, waits for every in-flight batch to be *decided*,
 answers stragglers ``BUSY``, releases any still-open ids (nothing is
@@ -54,6 +65,7 @@ import asyncio
 from dataclasses import dataclass
 
 from repro.protocol.fanout import ServerFanout, resolve_fanout
+from repro.protocol.lifecycle import BatchLifecycle, Outcome
 from repro.protocol.server import PrioServer
 from repro.transport.framing import (
     DEFAULT_MAX_FRAME,
@@ -134,13 +146,21 @@ class TransportStats:
     n_shed: int = 0
     n_rate_limited: int = 0
     n_batches: int = 0
-    #: submissions failed by a backend/worker crash (answered BUSY)
+    #: submissions abandoned by a backend/worker crash (answered BUSY)
     n_worker_failures: int = 0
     #: watermark pause events (reads paused on every connection)
     n_pauses: int = 0
     #: highest undecided-submission count observed
     max_pending: int = 0
     executor: str = ""
+
+
+#: the response status of each lifecycle outcome
+_STATUS = {
+    Outcome.ACCEPTED: Status.ACCEPTED,
+    Outcome.REJECTED: Status.REJECTED,
+    Outcome.ABANDONED: Status.BUSY,
+}
 
 
 class _TokenBucket:
@@ -177,6 +197,9 @@ class _PendingUpload:
     #: packets are box-sealed (envelope-prefixed); decides which
     #: receive op the verification batch runs
     sealed: bool
+
+    def answer(self, status: Status) -> None:
+        self.conn.send_response(self.submission_id, status)
 
 
 class _UploadConnection(asyncio.Protocol):
@@ -302,6 +325,10 @@ class PrioTransportServer:
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._fanout: "ServerFanout | None" = None
         self._owned_fanout = False
+        self._lifecycle: "BatchLifecycle | None" = None
+        #: the accumulate fault that stopped verification, re-raised
+        #: by :meth:`stop`
+        self._fatal: "Exception | None" = None
         self._listeners: "list[asyncio.AbstractServer]" = []
         self._connections: "set[_UploadConnection]" = set()
         self._batch: "list[_PendingUpload]" = []
@@ -312,7 +339,6 @@ class PrioTransportServer:
         self._paused = False
         self._draining = False
         self._started = False
-        self._next_batch_id = 0
         #: test/ops hook: clear to stall the verify worker mid-stream
         self._verify_gate: "asyncio.Event | None" = None
 
@@ -336,6 +362,7 @@ class PrioTransportServer:
             self.config.n_shards,
         )
         self.stats.executor = self._fanout.kind
+        self._lifecycle = BatchLifecycle(self.servers, self._fanout)
         if not self._owned_fanout:
             # A reused backend may hold a previous run's worker state;
             # re-sync it from the driver-side servers (the same rule
@@ -377,7 +404,8 @@ class PrioTransportServer:
         arriving on live connections answer ``BUSY``, the partial
         batch flushes, and the call returns only after every queued
         batch has been decided and responded to.  No submission id is
-        left pending at any logical server.
+        left pending at any logical server.  If an accumulate fault
+        stopped verification, it is re-raised once the drain is done.
         """
         if not self._started:
             return
@@ -401,25 +429,23 @@ class PrioTransportServer:
         except asyncio.CancelledError:
             pass
         self._worker = None
-        try:
-            # Safety net: a crashed batch may have left ids pending at
-            # a subset of servers; an honest retry must not look like
-            # a replay, and plane matrices must not outlive the serve.
-            await self._fanout.sweep(
-                "abandon_open", [()] * len(self.servers)
-            )
-        except Exception:  # noqa: BLE001 - backend may be gone
-            pass
+        # Safety net: a crashed batch may have left ids pending at a
+        # subset of servers; an honest retry must not look like a
+        # replay, and plane matrices must not outlive the serve.
+        await self._lifecycle.abandon_open()
         try:
             self._fanout.end_run()
         finally:
             if self._owned_fanout:
                 self._fanout.close()
-            self._fanout = None
+            self._fanout = self._lifecycle = None
         for conn in list(self._connections):
             if conn.transport is not None:
                 conn.transport.close()
         self._started = False
+        fatal, self._fatal = self._fatal, None
+        if fatal is not None:
+            raise fatal
 
     async def __aenter__(self) -> "PrioTransportServer":
         await self.start()
@@ -477,7 +503,11 @@ class PrioTransportServer:
             return False
         sealed = is_sealed_packet(payloads[0])
         self.stats.n_submissions += 1
-        if self._draining or self._pending >= self.config.shed_limit:
+        if (
+            self._draining
+            or self._fatal is not None
+            or self._pending >= self.config.shed_limit
+        ):
             self.stats.n_shed += 1
             conn.send_response(submission_id, Status.BUSY)
             return True
@@ -532,112 +562,47 @@ class PrioTransportServer:
             batch = await self._batch_q.get()
             try:
                 await self._verify_gate.wait()
-                await self._process_batch(batch)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 - isolate to the batch
-                # Backend failure after receive may have left ids
-                # pending at some servers; abandon so retries work.
-                await self._cleanup_batch(self._next_batch_id - 1,
-                                          "abandon_all")
-                self.stats.n_worker_failures += len(batch)
-                for upload in batch:
-                    upload.conn.send_response(
-                        upload.submission_id, Status.BUSY
-                    )
-                self._settle(len(batch))
+                if self._fatal is None:
+                    await self._process_batch(batch)
+                else:
+                    # Verification stopped: refuse without touching
+                    # the core, like any other shed upload.
+                    self.stats.n_shed += len(batch)
+                    for upload in batch:
+                        upload.answer(Status.BUSY)
+                    self._settle(len(batch))
             finally:
                 self._batch_q.task_done()
 
-    async def _cleanup_batch(self, batch_id: int, op: str) -> None:
-        for s in range(len(self.servers)):
-            try:
-                await self._fanout.call(s, op, batch_id)
-            except Exception:  # noqa: BLE001 - backend may be gone
-                continue
-
-    def _payloads_for(self, server_slot: int, batch) -> "list[bytes]":
-        """One server's packet bytes, routed by *protocol* index (a
-        shuffled server list still receives the packets addressed to
-        it — frame positions follow server order on the wire)."""
-        index = self.servers[server_slot].server_index
-        return [upload.payloads[index] for upload in batch]
+    def _answer(self, settled) -> None:
+        """Respond to ``(upload, outcome)`` pairs and settle them."""
+        n = 0
+        for upload, outcome in settled:
+            if outcome is None:
+                continue  # still waiting for the decide half
+            if outcome is Outcome.ACCEPTED:
+                self.stats.n_accepted += 1
+            elif outcome is Outcome.REJECTED:
+                self.stats.n_rejected += 1
+            else:
+                self.stats.n_worker_failures += 1
+            upload.answer(_STATUS[outcome])
+            n += 1
+        self._settle(n)
 
     async def _process_batch(self, batch: "list[_PendingUpload]") -> None:
-        fanout = self._fanout
-        n_servers = len(self.servers)
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
         self.stats.n_batches += 1
-        receive_op = "receive_sealed" if batch[0].sealed else "receive_wire"
-        received = await fanout.sweep(receive_op, [
-            (batch_id, self._payloads_for(s, batch))
-            for s in range(n_servers)
-        ])
-        survivors: "list[_PendingUpload]" = []
-        keep: "list[int]" = []
-        for pos, upload in enumerate(batch):
-            if any(received[s][pos] is not None for s in range(n_servers)):
-                # At least one server refused the frame (replay, bad
-                # range, wrong length...): reject this upload alone.
-                # The ingest sweep below abandons it wherever receive
-                # succeeded.
-                self.stats.n_rejected += 1
-                upload.conn.send_response(
-                    upload.submission_id, Status.REJECTED
-                )
-            else:
-                survivors.append(upload)
-                keep.append(pos)
-        self._settle(len(batch) - len(survivors))
-        if not survivors:
-            await fanout.sweep("ingest", [(batch_id, keep)] * n_servers)
-            return
-        try:
-            await fanout.sweep("ingest", [(batch_id, keep)] * n_servers)
-            round1 = await fanout.sweep(
-                "round1", [(batch_id,)] * n_servers
-            )
-            round2 = await fanout.sweep(
-                "round2", [(batch_id, round1)] * n_servers
-            )
-            decisions = self.servers[0].decide_batch(round2)
-        except asyncio.CancelledError:
-            raise
-        except ValueError:
-            # Defensive mirror of the in-memory pipeline: shapes were
-            # validated at receive time, so reject the whole batch
-            # rather than mis-credit any of it.
-            await self._cleanup_batch(batch_id, "reject_all")
-            self.stats.n_rejected += len(survivors)
-            for upload in survivors:
-                upload.conn.send_response(
-                    upload.submission_id, Status.REJECTED
-                )
-            self._settle(len(survivors))
-            return
-        except Exception:
-            # Worker/backend crash mid-rounds: nothing committed yet.
-            await self._cleanup_batch(batch_id, "abandon_all")
-            self.stats.n_worker_failures += len(survivors)
-            for upload in survivors:
-                upload.conn.send_response(upload.submission_id, Status.BUSY)
-            self._settle(len(survivors))
-            return
-        # The commit point: accumulate must not be caught per batch —
-        # a partial commit would leave the server set divergent.
-        await fanout.sweep(
-            "accumulate", [(batch_id, decisions)] * n_servers
+        admission = await self._lifecycle.admit(
+            [upload.payloads for upload in batch],
+            "sealed" if batch[0].sealed else "wire",
         )
-        for upload, accepted in zip(survivors, decisions):
-            if accepted:
-                self.stats.n_accepted += 1
-                upload.conn.send_response(
-                    upload.submission_id, Status.ACCEPTED
-                )
-            else:
-                self.stats.n_rejected += 1
-                upload.conn.send_response(
-                    upload.submission_id, Status.REJECTED
-                )
-        self._settle(len(survivors))
+        # Refused and abandoned uploads are answered before the rounds.
+        self._answer(zip(batch, admission.outcomes))
+        try:
+            outcomes = await self._lifecycle.decide(admission)
+        except Exception as exc:  # noqa: BLE001 - fatal, see stop()
+            # Accumulate fault: some servers committed this batch, so a
+            # retry would be a replay there.
+            self._fatal = exc
+            outcomes = [Outcome.REJECTED] * len(batch)
+        self._answer((batch[p], outcomes[p]) for p in admission.survivors)

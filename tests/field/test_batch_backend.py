@@ -265,12 +265,15 @@ def test_signed_delta_batch_matches_scalar(field, force_pure, rng):
 
 
 def test_ntt_exact_fallback_on_headroom_starved_modulus():
-    """The lazy-butterfly guard must fall back to the exact per-stage
-    path — and still match the scalar NTT bit for bit.
+    """A headroom-starved modulus must run the matrix-radix NTT at its
+    floor — canonical radix-2 passes — and still match the scalar NTT
+    bit for bit.
 
-    Every shipped modulus leaves lazy headroom, so this builds a
-    24-bit NTT-friendly prime (one 24-bit limb, no slack: the guard
-    ``(4 + 3·stages)·p <= base^L`` fails) to exercise the fallback.
+    Every shipped modulus leaves headroom for lazy radix-32 passes, so
+    this builds a 24-bit NTT-friendly prime (one 24-bit limb, no slack:
+    a lazy residue below ``3p`` does not fit the limb, and only radix 2
+    keeps a canonical pass inside Barrett's domain) to exercise the
+    same four-step kernel with every pass reduced exactly.
     """
     if not use_numpy(None):
         pytest.skip("exercises the numpy NTT kernel")

@@ -4,10 +4,15 @@ The executor knob must not be observable in any protocol outcome:
 decisions, aggregates, statistics, and replay protection are asserted
 bit-identical across the ``inline``/``thread``/``process`` backends.
 Failure paths get the adversarial treatment — a worker that dies
-mid-batch (thread or process) must reject that batch alone, keep the
-stream flowing, and leave no leaked executors or child processes.
+mid-batch (thread or process) must abandon that batch alone, keep the
+stream flowing, and leave no leaked executors or child processes.  The
+crash-policy matrix asserts the one failure policy at every front end
+(the pipeline on threads and processes, ``deliver_batch``, and the
+socket transport): a fault before the accumulate commit abandons the
+batch so an honest retry is accepted; a fault inside it is fatal.
 """
 
+import asyncio
 import multiprocessing
 import random
 import threading
@@ -28,6 +33,12 @@ from repro.protocol import (
     run_pipelined,
 )
 from repro.snip.verifier import ServerRandomness
+from repro.transport import (
+    PrioTransportServer,
+    Status,
+    TransportClient,
+    TransportConfig,
+)
 
 BACKENDS = ["inline", "thread", "process"]
 
@@ -317,48 +328,101 @@ def _crashy_setup(server_cls, crash_batch, rng, n=12, batch=4, n_servers=3):
     return servers, values, submissions
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_worker_crash_at_verification_rejects_batch_alone(backend, rng):
+#: every front end over the batch lifecycle: the pipeline on each
+#: pooled backend, the synchronous deliver_batch, and TCP (inline)
+FRONT_ENDS = ["thread", "process", "deliver_batch", "tcp"]
+
+
+def _transport_config():
+    # A long linger: batches flush only when four uploads are in.
+    return TransportConfig(batch_size=4, linger_s=1.0, executor="inline")
+
+
+def _frames(submissions):
+    return [
+        (s.submission_id, TransportClient.frame_submission(s))
+        for s in submissions
+    ]
+
+
+async def _tcp_statuses(servers, submissions):
+    server = PrioTransportServer(servers, _transport_config())
+    await server.start()
+    try:
+        host, port = await server.serve_tcp("127.0.0.1", 0)
+        async with await TransportClient.connect_tcp(host, port) as client:
+            statuses = await client.submit_many(_frames(submissions))
+    finally:
+        await server.stop()
+    return statuses, server.stats.n_worker_failures
+
+
+def _through(front_end, servers, submissions):
+    """Run ``submissions`` through one front end in batches of four.
+
+    Returns ``(results, n_worker_failures)``: decisions, or response
+    statuses over TCP; the failure count is None for deliver_batch,
+    which keeps none.
+    """
+    if front_end == "deliver_batch":
+        deployment = PrioDeployment(
+            servers[0].afe, servers, None, encrypt=False, batch_size=4
+        )
+        results = []
+        for start in range(0, len(submissions), 4):
+            results += deployment.deliver_batch(submissions[start:start + 4])
+        return results, None
+    if front_end == "tcp":
+        return asyncio.run(_tcp_statuses(servers, submissions))
+    decisions, stats = run_pipelined(
+        servers, submissions, batch_size=4, executor=front_end
+    )
+    return decisions, stats.n_worker_failures
+
+
+def _assert_crash_abandons_batch(server_cls, front_end, rng):
+    """A fault before the commit abandons its batch alone: no id stays
+    pending or reaches the replay cache, and the honest retry of the
+    same submissions is accepted."""
     before_threads, _ = _no_leaks()
     servers, values, submissions = _crashy_setup(
-        CrashOnRound1Server, crash_batch=1, rng=rng
+        server_cls, crash_batch=1, rng=rng
     )
-    decisions, stats = run_pipelined(
-        servers, submissions, batch_size=4, executor=backend
+    ok, failed = (
+        (Status.ACCEPTED, Status.BUSY) if front_end == "tcp"
+        else (True, False)
     )
-    assert decisions == [True] * 4 + [False] * 4 + [True] * 4
-    assert stats.n_worker_failures == 4
-    # The crashed batch was rejected, not lost: every server decided it.
-    assert servers[0].n_accepted == 8
-    assert servers[0].n_rejected == 4
-    assert servers[0]._pending_ids == set()
+    results, n_failures = _through(front_end, servers, submissions)
+    assert results == [ok] * 4 + [failed] * 4 + [ok] * 4
+    if n_failures is not None:
+        assert n_failures == 4
+    for server in servers:
+        assert server._pending_ids == set()
+        assert server.n_rejected == 0
+    # Clear the fault and retry the abandoned batch: accepted, no replay.
+    servers[1].crash_sids = frozenset()
+    retry, _ = _through(front_end, servers, submissions[4:8])
+    assert retry == [ok] * 4
+    for server in servers:
+        assert server.n_accepted == 12
+        assert server.n_replayed == 0
     after_threads, children = _no_leaks()
     assert after_threads <= before_threads
     assert children == []
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_worker_crash_at_ingest_releases_ids_for_retry(backend, rng):
+@pytest.mark.parametrize("front_end", FRONT_ENDS)
+def test_worker_crash_at_verification_abandons_batch_alone(front_end, rng):
+    """A round-1 crash at one of three servers: no decision was made,
+    so the batch is abandoned (not rejected into the replay cache)."""
+    _assert_crash_abandons_batch(CrashOnRound1Server, front_end, rng)
+
+
+@pytest.mark.parametrize("front_end", FRONT_ENDS)
+def test_worker_crash_at_ingest_releases_ids_for_retry(front_end, rng):
     """An ingest-stage crash abandons (does not decide) the batch: an
     honest retry of the same submissions must succeed afterward."""
-    servers, values, submissions = _crashy_setup(
-        CrashOnIngestServer, crash_batch=1, rng=rng
-    )
-    decisions, stats = run_pipelined(
-        servers, submissions, batch_size=4, executor=backend
-    )
-    assert decisions == [True] * 4 + [False] * 4 + [True] * 4
-    assert stats.n_worker_failures == 4
-    assert servers[0]._pending_ids == set()
-    # Clear the fault and retry the abandoned batch: accepted, no replay.
-    servers[1].crash_sids = frozenset()
-    retry, _ = run_pipelined(
-        servers, submissions[4:8], batch_size=4, executor=backend
-    )
-    assert retry == [True] * 4
-    assert servers[0].n_accepted == 12
-    assert servers[0].n_replayed == 0
-    assert multiprocessing.active_children() == []
+    _assert_crash_abandons_batch(CrashOnIngestServer, front_end, rng)
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -372,6 +436,47 @@ def test_crash_at_commit_point_is_fatal_not_silent(backend, rng):
     with pytest.raises(RuntimeError, match="accumulate crash"):
         run_pipelined(servers, submissions, batch_size=4, executor=backend)
     assert multiprocessing.active_children() == []
+
+
+def test_crash_at_commit_point_is_fatal_in_deliver_batch(rng):
+    servers, values, submissions = _crashy_setup(
+        CrashOnAccumulateServer, crash_batch=1, rng=rng
+    )
+    with pytest.raises(RuntimeError, match="accumulate crash"):
+        _through("deliver_batch", servers, submissions)
+    # The batch before the crash was committed everywhere.
+    assert [server.n_accepted for server in servers] == [8, 4, 8]
+
+
+def test_crash_at_commit_point_over_tcp_is_fatal(rng):
+    """Over TCP the crashed batch is answered REJECTED (two servers
+    committed it, so its retry would be a replay there), nothing more
+    is verified, later uploads are answered BUSY, and stop() re-raises
+    the fault after draining."""
+    servers, values, submissions = _crashy_setup(
+        CrashOnAccumulateServer, crash_batch=1, rng=rng, n=13
+    )
+
+    async def scenario():
+        server = PrioTransportServer(servers, _transport_config())
+        await server.start()
+        host, port = await server.serve_tcp("127.0.0.1", 0)
+        async with await TransportClient.connect_tcp(host, port) as client:
+            statuses = await client.submit_many(_frames(submissions[:12]))
+            later = await client.submit(submissions[12])
+        with pytest.raises(RuntimeError, match="accumulate crash"):
+            await server.stop()
+        return statuses, later, server
+
+    statuses, later, server = asyncio.run(scenario())
+    assert statuses == (
+        [Status.ACCEPTED] * 4 + [Status.REJECTED] * 4 + [Status.BUSY] * 4
+    )
+    assert later is Status.BUSY
+    assert server.pending_submissions == 0
+    assert [s.n_accepted for s in servers] == [8, 4, 8]
+    for prio_server in servers:
+        assert prio_server._pending_ids == set()
 
 
 def test_dead_worker_process_fails_batches_without_hanging(rng):
@@ -481,3 +586,24 @@ def test_repeated_runs_leak_no_threads_or_processes(backend, rng):
     assert after_threads <= before_threads
     assert children == []
     assert deployment.publish() == total
+
+
+def test_synchronous_deliveries_create_no_event_loop(monkeypatch, rng):
+    """deliver_batch and GatedDeployment.deliver drive the lifecycle
+    directly: creating an event loop per call would cost more than a
+    small batch's verification."""
+    from repro.protocol import GatedDeployment
+
+    def no_loop():
+        raise AssertionError("a synchronous delivery created an event loop")
+
+    afe = IntegerSumAfe(FIELD87, 8)
+    deployment = _twin_deployment(batch_size=4)
+    gated = GatedDeployment(afe, n_servers=2, publish_threshold=1)
+    client = gated.new_client(rng)
+    values, submissions = _prepared_stream(deployment, rng, n=4)
+    monkeypatch.setattr(asyncio.events, "new_event_loop", no_loop)
+    assert deployment.deliver_batch(submissions) == [True] * 4
+    assert gated.deliver(client.prepare_submission(3))
+    assert deployment.publish() == sum(values)
+    assert gated.publish() == 3

@@ -1,6 +1,7 @@
 """Tests for client registration and publish gating (Section 7)."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -67,6 +68,54 @@ def test_bad_signature_rejected(deployment, rng):
         for sp in packets
     ]
     assert not deployment.deliver(forged)
+
+
+def test_bad_signature_at_last_server_leaves_no_id_pending(deployment, rng):
+    """Signatures are checked before any server receives a packet: a
+    forgery aimed at the last server must not leave the id pending at
+    the others, where the honest resend would look like a replay."""
+    client = deployment.new_client(rng)
+    packets = client.prepare_submission(7)
+    other = deployment.new_client(rng)
+    last = packets[-1]
+    forged = packets[:-1] + [
+        SignedPacket(
+            packet=last.packet,
+            client_id=last.client_id,
+            signature=sign(other.keypair, last.packet.encode(), rng),
+        )
+    ]
+    assert not deployment.deliver(forged)
+    assert deployment.deliver(packets)
+    for server in deployment.servers:
+        assert server.n_replayed == 0
+        assert not server._pending_ids
+        assert server.n_contributors == 1
+
+
+def test_short_explicit_body_is_rejected_not_raised(deployment, rng):
+    """A correctly signed packet whose EXPLICIT body is one byte short
+    is a receive-time rejection of that upload alone, not an error."""
+    from repro.protocol.wire import PacketKind
+
+    client = deployment.new_client(rng)
+    packets = client.prepare_submission(5)
+    i = next(
+        i for i, signed in enumerate(packets)
+        if signed.packet.kind is PacketKind.EXPLICIT
+    )
+    short = replace(packets[i].packet, body=packets[i].packet.body[:-1])
+    bad = list(packets)
+    bad[i] = SignedPacket(
+        packet=short,
+        client_id=client.client_id,
+        signature=sign(client.keypair, short.encode(), rng),
+    )
+    assert not deployment.deliver(bad)
+    assert deployment.deliver(packets)
+    for server in deployment.servers:
+        assert server.n_replayed == 0
+        assert not server._pending_ids
 
 
 def test_publish_gated_below_threshold(deployment, rng):

@@ -12,7 +12,7 @@ import pytest
 from repro.afe import FrequencyCountAfe, IntegerSumAfe
 from repro.field import FIELD87
 from repro.simnet import paper_wan_topology, same_datacenter
-from repro.simnet.prio_cluster import run_cluster
+from repro.simnet.prio_cluster import ClusterReport, run_cluster
 
 
 @pytest.fixture
@@ -215,3 +215,84 @@ def test_cluster_rejects_foreign_fanout_instances():
             )
     finally:
         fanout.close()
+
+
+def _corrupt_fourth(index, submission):
+    """Shift one explicit share element of upload 3: a well-framed
+    upload whose proof no longer verifies."""
+    from repro.protocol.wire import ClientPacket, PacketKind
+
+    if index != 3:
+        return
+    packet = submission.packets[-1]
+    vec = FIELD87.decode_vector(packet.body)
+    vec[0] = (vec[0] + 12345) % FIELD87.modulus
+    submission.packets[-1] = ClientPacket(
+        submission_id=packet.submission_id,
+        server_index=packet.server_index,
+        kind=PacketKind.EXPLICIT,
+        n_elements=packet.n_elements,
+        body=FIELD87.encode_vector(vec),
+    )
+
+
+#: whole reports, compared exactly: when a node receives its uploads
+#: must not move one event, byte or decision of the run
+_GOLDEN = {
+    (1, False): ClusterReport(
+        n_accepted=10, n_rejected=0, aggregate=45,
+        wall_clock_s=0.202004608,
+        server_tx_bytes=[8760, 1760, 1760, 1760, 1760],
+        first_decision_s=0.161004608,
+    ),
+    (1, True): ClusterReport(
+        n_accepted=9, n_rejected=1, aggregate=42,
+        wall_clock_s=0.202004608,
+        server_tx_bytes=[8760, 1760, 1760, 1760, 1760],
+        first_decision_s=0.161004608,
+    ),
+    (4, False): ClusterReport(
+        n_accepted=10, n_rejected=0, aggregate=45,
+        wall_clock_s=0.202005664,
+        server_tx_bytes=[8760, 1760, 1760, 1760, 1760],
+        first_decision_s=0.16100495999999997,
+    ),
+    (4, True): ClusterReport(
+        n_accepted=9, n_rejected=1, aggregate=42,
+        wall_clock_s=0.202005664,
+        server_tx_bytes=[8760, 1760, 1760, 1760, 1760],
+        first_decision_s=0.16100495999999997,
+    ),
+}
+
+
+@pytest.mark.parametrize("executor", ["inline", "inline:2"])
+@pytest.mark.parametrize("corrupted", [False, True])
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_cluster_report_golden(batch_size, corrupted, executor):
+    report = run_cluster(
+        IntegerSumAfe(FIELD87, 8), paper_wan_topology(), range(10),
+        random.Random(5), batch_size=batch_size, executor=executor,
+        mutate=_corrupt_fourth if corrupted else None,
+    )
+    assert report == _GOLDEN[batch_size, corrupted]
+
+
+def test_local_receive_failure_raises_sim_error():
+    """The simulation has no retry path: a server refusing an upload of
+    its own group (here a replayed id) stops the run loudly."""
+    from repro.simnet.network import SimError
+
+    first = []
+
+    def replay_first(index, submission):
+        if index == 0:
+            first.append(submission.packets)
+        else:
+            submission.packets = first[0]
+
+    with pytest.raises(SimError, match="refused an upload"):
+        run_cluster(
+            IntegerSumAfe(FIELD87, 4), same_datacenter(3), [1, 2],
+            random.Random(8), batch_size=2, mutate=replay_first,
+        )
